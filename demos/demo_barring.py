@@ -8,19 +8,20 @@ chance that exactly one survives (the collision is resolved). The literal
 
 import numpy as np
 
-from rasim.acb import AcbPolicy, acb_factor, acb_round
+from rasim.acb import AcbPolicy, acb_factors, acb_round
 
 rng = np.random.default_rng(3)
 trials = 50_000
 
 print(f"{'n':>3} {'p=1/n':>8} {'sim':>7} {'p=1-1/n':>9} {'sim':>7}")
 for n in range(2, 11):
-    inv = acb_factor(AcbPolicy("opt-inv"), n)
-    lit = acb_factor(AcbPolicy("opt-lit"), n)
-    analytic_inv = n * inv * (1 - inv) ** (n - 1)
-    analytic_lit = n * lit * (1 - lit) ** (n - 1)
-    sim_inv = np.mean([acb_round(n, inv, rng) == 1 for _ in range(trials)])
-    sim_lit = np.mean([acb_round(n, lit, rng) == 1 for _ in range(trials)])
+    counts = np.full(trials, n)
+    inv = acb_factors(AcbPolicy("opt-inv"), counts)
+    lit = acb_factors(AcbPolicy("opt-lit"), counts)
+    analytic_inv = n * inv[0] * (1 - inv[0]) ** (n - 1)
+    analytic_lit = n * lit[0] * (1 - lit[0]) ** (n - 1)
+    sim_inv = np.mean(acb_round(counts, inv, rng) == 1)
+    sim_lit = np.mean(acb_round(counts, lit, rng) == 1)
     print(f"{n:>3} {analytic_inv:8.4f} {sim_inv:7.4f} {analytic_lit:9.4f} {sim_lit:7.4f}")
 
 print("\nP(resolve) under 1/n tends to 1/e ~ 0.368; under 1 - 1/n it vanishes.")

@@ -33,6 +33,6 @@ hist = ObservationHistory(cfg.t_w)
 print(f"{'frame':>6} {'true u':>7} {'pred u':>7} {'true m':>7} {'pred m':>7}")
 for t, o in enumerate(obs):
     if len(hist) == cfg.t_w and t % 3 == 0:
-        pred = predict_backlog(predictor, hist, hist)
+        pred = predict_backlog(predictor, hist)
         print(f"{t:>6} {bu[t]:>7} {pred.k_hat_u:>7} {bm[t]:>7} {pred.k_hat_m:>7}")
     record_observation(hist, o)

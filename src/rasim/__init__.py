@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .acb import AcbPolicy, acb_factor, acb_round, parse_policy
+from .acb import AcbPolicy, acb_factors, acb_round, parse_policy
 from .engine import (
     FrameResult,
     MonteCarloResult,

@@ -46,28 +46,37 @@ def parse_policy(text: str) -> AcbPolicy:
     return AcbPolicy(text)
 
 
-def acb_factor(policy: AcbPolicy, n: int) -> float:
-    """Pass probability broadcast for a channel with n contenders.
+def acb_factors(policy: AcbPolicy, counts) -> np.ndarray:
+    """Pass probability broadcast per channel, given its contender count.
 
     Idle and singleton channels always get 1 regardless of policy.
     """
-    if n < 0:
+    counts = np.asarray(counts)
+    if counts.size and counts.min() < 0:
         raise ValueError("contender count must be non-negative")
-    if n <= 1 or policy.kind == GRANT_FREE:
-        return 1.0
+    factors = np.ones(counts.shape)
+    if policy.kind == GRANT_FREE:
+        return factors
+    loaded = counts >= 2
     if policy.kind == STATIC:
-        return policy.p
-    if policy.kind == OPT_INVERSE:
-        return 1.0 / n
-    return 1.0 - 1.0 / n  # opt-lit
+        factors[loaded] = policy.p
+    elif policy.kind == OPT_INVERSE:
+        factors[loaded] = 1.0 / counts[loaded]
+    else:  # opt-lit
+        factors[loaded] = 1.0 - 1.0 / counts[loaded]
+    return factors
 
 
-def acb_round(n: int, pass_prob: float, rng: np.random.Generator) -> int:
-    """Number of the n contenders whose uniform draw passes the factor."""
-    if n < 0:
-        raise ValueError("contender count must be non-negative")
-    if not 0.0 <= pass_prob <= 1.0:
-        raise ValueError("pass probability must lie in [0, 1]")
-    if n == 0 or pass_prob == 1.0:
-        return n
-    return int(rng.binomial(n, pass_prob))
+def acb_round(counts, factors, rng: np.random.Generator) -> np.ndarray:
+    """Per channel, how many of its contenders pass their channel's factor.
+
+    Only channels with a factor below 1 draw, so a round without barring
+    consumes no randomness and returns ``counts`` itself.
+    """
+    counts, factors = np.asarray(counts), np.asarray(factors)
+    barring = factors < 1.0
+    if not barring.any():
+        return counts
+    survivors = counts.copy()
+    survivors[barring] = rng.binomial(counts[barring], factors[barring])
+    return survivors

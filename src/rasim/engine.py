@@ -13,37 +13,74 @@ at selection time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
-from .acb import AcbPolicy
+from .acb import AcbPolicy, acb_factors, acb_round
+from .metrics import channel_loading, normalized_throughput
 from .predictor import (
     LstmPredictor,
     Observation,
     ObservationHistory,
     PredictionResult,
+    cold_start_prior,
     load_predictor,
     naive_predict,
     perfect_predict,
     predict_backlog,
     record_observation,
 )
-from .slicing import (
-    GridConfig,
-    SlicingPlan,
-    fixed_grid_slice,
-    maxrect_slice,
-    packet_size_rbs,
-    plan_from_counts,
-)
+from .slicing import GridConfig, fixed_grid_slice, mmtc_room, urllc_room
 from .traffic import (
     BacklogState,
     TrafficConfig,
-    expected_arrivals_per_frame,
     sample_mmtc_arrivals,
     sample_urllc_arrivals,
     update_backlog,
 )
+
+
+PERFECT, NAIVE, LSTM = "perfect", "naive", "lstm"
+MAXRECT, FIXED, COUNTS = "maxrect", "fixed", "counts"
+
+
+class PredictorSpec(NamedTuple):
+    """The ``predictor`` setting, parsed; model_path is set for lstm only."""
+
+    kind: str
+    model_path: str = ""
+
+
+class SlicerSpec(NamedTuple):
+    """The ``slicer`` setting, parsed; counts is (l_u, l_m) for counts, () or (l_u,) for fixed."""
+
+    kind: str
+    counts: tuple[int, ...] = ()
+
+
+def parse_predictor(text: str) -> PredictorSpec:
+    """Parse 'perfect' | 'naive' | 'lstm:<model path>'."""
+    kind, sep, path = text.partition(":")
+    if kind == LSTM and path:
+        return PredictorSpec(kind, path)
+    if kind in (PERFECT, NAIVE) and not sep:
+        return PredictorSpec(kind)
+    raise ValueError(f"bad predictor {text!r}: expected perfect, naive or lstm:<model path>")
+
+
+def parse_slicer(text: str) -> SlicerSpec:
+    """Parse 'maxrect' | 'fixed[:<l_u>]' | 'counts:<l_u>,<l_m>'."""
+    kind, _, arg = text.partition(":")
+    fields = arg.split(",") if arg else []
+    arities = {MAXRECT: (0,), FIXED: (0, 1), COUNTS: (2,)}.get(kind, ())
+    if len(fields) not in arities or not all(f.isdecimal() for f in fields):
+        raise ValueError(
+            f"bad slicer {text!r}: expected maxrect, fixed[:<l_u>] or counts:<l_u>,<l_m> "
+            "with non-negative integer counts"
+        )
+    return SlicerSpec(kind, tuple(int(f) for f in fields))
 
 
 @dataclass(frozen=True)
@@ -56,7 +93,6 @@ class SimulationConfig:
     frames: int = 1200
     realizations: int = 1
     seed: int = 1
-    t_acb: int = 0               # barred UEs return next frame; only 0 supported
     t_w: int = 10                # observation window length
     steady_fraction: float = 0.2
 
@@ -67,18 +103,12 @@ class SimulationConfig:
             raise ValueError("frames must be >= 1")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.t_acb != 0:
-            raise ValueError("only t_acb = 0 is supported")
         if self.t_w < 1:
             raise ValueError("t_w must be >= 1")
         if not 0.0 < self.steady_fraction <= 1.0:
             raise ValueError("steady_fraction must lie in (0, 1]")
-        kind = self.predictor.split(":", 1)[0]
-        if kind not in ("perfect", "naive", "lstm"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
-        skind = self.slicer.split(":", 1)[0]
-        if skind not in ("maxrect", "fixed", "counts"):
-            raise ValueError(f"unknown slicer {self.slicer!r}")
+        parse_predictor(self.predictor)
+        parse_slicer(self.slicer)
         return self
 
 
@@ -103,17 +133,6 @@ class FrameResult:
     def failed_m(self) -> int:
         return self.backlog.active_m - self.served_m
 
-    @property
-    def backlog_after(self) -> BacklogState:
-        """Carry-over into the next frame, before its new arrivals."""
-        return BacklogState(
-            new_m=0,
-            new_u=0,
-            retry_m=self.failed_m,
-            retry_u=self.failed_u,
-            frame_index=self.frame_index + 1,
-        )
-
 
 def contend_uniform(n_ues: int, n_channels: int, policy: AcbPolicy, rng: np.random.Generator):
     """One mode's selection and barring round.
@@ -125,29 +144,8 @@ def contend_uniform(n_ues: int, n_channels: int, policy: AcbPolicy, rng: np.rand
         z = np.zeros(0, dtype=int)
         return z, np.zeros(0), z
     counts = rng.multinomial(n_ues, np.full(n_channels, 1.0 / n_channels))
-    factors = _acb_factors(policy, counts)
-    barring = factors < 1.0
-    if barring.any():
-        survivors = counts.copy()
-        survivors[barring] = rng.binomial(counts[barring], factors[barring])
-    else:
-        survivors = counts  # no draw at all: barring round is a no-op
-    return counts, factors, survivors
-
-
-def _acb_factors(policy: AcbPolicy, counts: np.ndarray) -> np.ndarray:
-    """Vectorized acb_factor over per-channel contender counts."""
-    factors = np.ones(len(counts))
-    loaded = counts >= 2
-    if policy.kind == "gf" or not loaded.any():
-        return factors
-    if policy.kind == "static":
-        factors[loaded] = policy.p
-    elif policy.kind == "opt-inv":
-        factors[loaded] = 1.0 / counts[loaded]
-    else:  # opt-lit
-        factors[loaded] = 1.0 - 1.0 / counts[loaded]
-    return factors
+    factors = acb_factors(policy, counts)
+    return counts, factors, acb_round(counts, factors, rng)
 
 
 class SimulationState:
@@ -161,50 +159,37 @@ class SimulationState:
         self.failed_m = 0
         self.hist = ObservationHistory(cfg.t_w)
         self.frame = 0
-        self._plan_cache: dict[tuple[int, int], SlicingPlan] = {}
-        self._fixed_plan: SlicingPlan | None = None
+        predictor = parse_predictor(cfg.predictor)
+        self._predictor = predictor.kind
         self._lstm = lstm
-        kind, _, arg = cfg.predictor.partition(":")
-        if kind == "lstm" and self._lstm is None:
-            if not arg:
-                raise ValueError("lstm predictor needs a model path (lstm:<path>)")
-            self._lstm = load_predictor(arg)
-        # demands beyond what the grid can hold produce the same plan
-        _, iota_u = packet_size_rbs(cfg.grid.p_u, cfg.grid.m_u, cfg.grid.xi, cfg.grid.nu)
-        _, iota_m = packet_size_rbs(cfg.grid.p_m, cfg.grid.m_m, cfg.grid.xi, cfg.grid.nu)
-        area = cfg.grid.f * cfg.grid.s
-        self._cap_u = area // iota_u + 1
-        self._cap_m = area // iota_m + 1
-        mean_u, mean_m = expected_arrivals_per_frame(cfg.traffic)
-        self._prior = PredictionResult(round(mean_u), round(mean_m))
+        if predictor.kind == LSTM and lstm is None:
+            self._lstm = load_predictor(predictor.model_path)
+        slicer = parse_slicer(cfg.slicer)
+        self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
+        if slicer.kind == FIXED:
+            plan = fixed_grid_slice(cfg.grid, *slicer.counts)
+            self._counts = (plan.l_u, plan.l_m)
+        elif slicer.kind == COUNTS:
+            self._counts = slicer.counts
+        self._prior = cold_start_prior(cfg.traffic)
 
     def predict(self) -> PredictionResult:
-        kind = self.cfg.predictor.split(":", 1)[0]
-        if kind == "perfect":
+        if self._predictor == PERFECT:
             return perfect_predict(self.backlog)
         if not len(self.hist):
             return self._prior  # cold start: long-run mean arrivals
-        if kind == "naive":
-            return naive_predict(self.hist, self.cfg.traffic.k_u, self.cfg.traffic.k_m)
-        return predict_backlog(self._lstm, self.hist, self.hist)
+        if self._predictor == NAIVE:
+            traffic = self.cfg.traffic
+            return naive_predict(self.hist, traffic.k_u, traffic.k_m, self._prior)
+        return predict_backlog(self._lstm, self.hist)
 
-    def plan_for(self, pred: PredictionResult) -> SlicingPlan:
-        kind, _, arg = self.cfg.slicer.partition(":")
-        if kind == "fixed":
-            if self._fixed_plan is None:
-                self._fixed_plan = fixed_grid_slice(self.cfg.grid, int(arg) if arg else 5)
-            return self._fixed_plan
-        if kind == "counts":
-            if self._fixed_plan is None:
-                l_u, l_m = (int(v) for v in arg.split(","))
-                self._fixed_plan = plan_from_counts(l_u, l_m)
-            return self._fixed_plan
-        key = (min(pred.k_hat_u, self._cap_u), min(pred.k_hat_m, self._cap_m))
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = maxrect_slice(self.cfg.grid, key[0], key[1])
-            self._plan_cache[key] = plan
-        return plan
+    def plan_for(self, pred: PredictionResult) -> tuple[int, int]:
+        """Channel counts (l_u, l_m) of this frame's slice."""
+        if self._counts is not None:
+            return self._counts
+        grid = self.cfg.grid
+        l_u = min(pred.k_hat_u, urllc_room(grid))
+        return l_u, min(pred.k_hat_m, mmtc_room(grid, l_u))
 
 
 def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Generator) -> FrameResult:
@@ -217,8 +202,7 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
     )
 
     pred = sim.predict()
-    plan = sim.plan_for(pred)
-    l_u, l_m = plan.l_u, plan.l_m
+    l_u, l_m = sim.plan_for(pred)
 
     counts_u, pass_u, surv_u = contend_uniform(sim.backlog.active_u, l_u, cfg.acb, rng)
     counts_m, pass_m, surv_m = contend_uniform(sim.backlog.active_m, l_m, cfg.acb, rng)
@@ -260,7 +244,6 @@ def run_simulation(
     lstm: LstmPredictor | None = None,
 ) -> list[FrameResult]:
     """One realization: cfg.frames frames with persistent backlog and history."""
-    cfg.validate()
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     sim = SimulationState(cfg, lstm=lstm)
@@ -294,10 +277,8 @@ def realization_metrics(cfg: SimulationConfig, index: int, lstm: LstmPredictor |
     out = {name: np.empty(len(frames)) for name in METRIC_COLUMNS}
     for i, fr in enumerate(frames):
         l_u, l_m = fr.plan_summary
-        total = l_u + l_m
-        out["eta"][i] = (fr.served_u + fr.served_m) / total if total else np.nan
-        out["cl_u"][i] = fr.backlog.active_u / l_u if l_u else np.nan
-        out["cl_m"][i] = fr.backlog.active_m / l_m if l_m else np.nan
+        out["eta"][i] = normalized_throughput(fr)
+        out["cl_u"][i], out["cl_m"][i] = channel_loading(fr.backlog, fr.plan_summary)
         out["served_u"][i] = fr.served_u
         out["served_m"][i] = fr.served_m
         out["backlog_u"][i] = fr.backlog.active_u
@@ -327,16 +308,6 @@ class MonteCarloResult:
 
     def mean(self, name: str) -> np.ndarray:
         return nanmean_quiet(self.stacks[name], axis=0)
-
-    def stderr(self, name: str) -> np.ndarray:
-        import warnings
-
-        data = self.stacks[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            std = np.nanstd(data, axis=0, ddof=1) if data.shape[0] > 1 else np.zeros(data.shape[1])
-        n = np.sum(np.isfinite(data), axis=0)
-        return np.divide(std, np.sqrt(np.maximum(n, 1)))
 
     def steady_mean(self, name: str) -> float:
         """Scalar mean over the final steady-state window of the run."""

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .slicing import SlicingPlan
 from .traffic import BacklogState
 
 
@@ -25,10 +24,11 @@ def normalized_throughput(result) -> float:
     return (result.served_u + result.served_m) / total
 
 
-def channel_loading(backlog: BacklogState, plan: SlicingPlan) -> tuple[float, float]:
-    """Active users per channel, per mode; NaN for modes without channels."""
-    cl_u = backlog.active_u / plan.l_u if plan.l_u else math.nan
-    cl_m = backlog.active_m / plan.l_m if plan.l_m else math.nan
+def channel_loading(backlog: BacklogState, counts: tuple[int, int]) -> tuple[float, float]:
+    """Active users per channel of each mode, given (l_u, l_m); NaN for a mode without channels."""
+    l_u, l_m = counts
+    cl_u = backlog.active_u / l_u if l_u else math.nan
+    cl_m = backlog.active_m / l_m if l_m else math.nan
     return cl_u, cl_m
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lstm import LstmModel, lstm_forward
-from .traffic import BacklogState
+from .traffic import BacklogState, TrafficConfig, expected_arrivals_per_frame
 
 MODEL_FORMAT_VERSION = "rasim-lstm v1"
 
@@ -98,6 +98,12 @@ class PredictionResult:
         return self.k_hat_u + self.k_hat_m
 
 
+def cold_start_prior(cfg: TrafficConfig) -> PredictionResult:
+    """Rounded long-run mean arrivals: the estimate made without an observation."""
+    mean_u, mean_m = expected_arrivals_per_frame(cfg)
+    return PredictionResult(round(mean_u), round(mean_m))
+
+
 def perfect_predict(state: BacklogState) -> PredictionResult:
     """Ground-truth backlog, for perfect-prediction experiments."""
     return PredictionResult(state.active_u, state.active_m)
@@ -134,17 +140,24 @@ def estimate_from_idle(idle_count: int, channels: int, population: int) -> int:
 
 
 def naive_predict(
-    hist: ObservationHistory, population_u: int, population_m: int
+    hist: ObservationHistory, population_u: int, population_m: int, prior: PredictionResult
 ) -> PredictionResult:
-    """Moment-based baseline using only the latest observation per mode."""
+    """Moment-based baseline using only the latest observation per mode.
+
+    A mode without channels in that frame takes ``prior``: 0 would keep it
+    without channels, and so unobserved, for good.
+    """
     if not len(hist):
         raise ValueError("history is empty")
     obs = hist.last
     out = []
-    for mode, pop in (("urllc", population_u), ("mmtc", population_m)):
+    for mode, pop, fallback in (
+        ("urllc", population_u, prior.k_hat_u),
+        ("mmtc", population_m, prior.k_hat_m),
+    ):
         s, c, i = obs.triplet(mode)
         total = s + c + i
-        out.append(estimate_from_idle(i, total, pop) if total else 0)
+        out.append(estimate_from_idle(i, total, pop) if total else fallback)
     return PredictionResult(out[0], out[1])
 
 
@@ -159,14 +172,12 @@ class LstmPredictor:
     t_w: int = 10
 
 
-def predict_backlog(
-    predictor: LstmPredictor, hist_u: ObservationHistory, hist_m: ObservationHistory
-) -> PredictionResult:
-    """Run both class models over their windows; round and clamp to population."""
-    if not len(hist_u) or not len(hist_m):
+def predict_backlog(predictor: LstmPredictor, hist: ObservationHistory) -> PredictionResult:
+    """Run both class models over the window; round and clamp to population."""
+    if not len(hist):
         raise ValueError("history is empty")
-    raw_u = lstm_forward(predictor.model_u, hist_u.normalized_window("urllc"))
-    raw_m = lstm_forward(predictor.model_m, hist_m.normalized_window("mmtc"))
+    raw_u = lstm_forward(predictor.model_u, hist.normalized_window("urllc"))
+    raw_m = lstm_forward(predictor.model_m, hist.normalized_window("mmtc"))
     k_u = max(0, min(predictor.population_u, round(raw_u * predictor.population_u)))
     k_m = max(0, min(predictor.population_m, round(raw_m * predictor.population_m)))
     return PredictionResult(k_u, k_m)

@@ -13,6 +13,7 @@ slot) feasible corner, split and prune the free set afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +92,6 @@ class SlicingPlan:
     channels: tuple[ChannelAssignment, ...]
     f_size: int
     s_size: int
-    synthetic: bool = False  # count-only plan, geometry is nominal
 
     @property
     def l_u(self) -> int:
@@ -274,6 +274,27 @@ def maxrect_slice(cfg: GridConfig, k_hat_u: int, k_hat_m: int) -> SlicingPlan:
     return SlicingPlan(tuple(channels), cfg.f, cfg.s)
 
 
+@functools.cache
+def urllc_room(cfg: GridConfig) -> int:
+    """URLLC channels the packer places when the URLLC demand is unbounded.
+
+    The packer places URLLC strips, then mMTC boxes, in an order that does not
+    depend on the demand, so maxrect_slice(cfg, k_u, k_m) holds
+    l_u = min(k_u, urllc_room(cfg)) URLLC and min(k_m, mmtc_room(cfg, l_u))
+    mMTC channels. mmtc_room is not monotone in l_u, so both come from the
+    packer, called through this module's global name.
+    """
+    iota_u, _ = _iota_rbs(cfg)
+    return maxrect_slice(cfg, cfg.f * cfg.s // iota_u + 1, 0).l_u
+
+
+@functools.cache
+def mmtc_room(cfg: GridConfig, l_u: int) -> int:
+    """mMTC channels the packer places after l_u URLLC strips, mMTC demand unbounded."""
+    _, iota_m = _iota_rbs(cfg)
+    return maxrect_slice(cfg, l_u, cfg.f * cfg.s // iota_m + 1).l_m
+
+
 def fixed_grid_slice(cfg: GridConfig, l_u: int = 5) -> SlicingPlan:
     """Baseline without slicing: tile identical 16-RB x 1-slot channels.
 
@@ -299,21 +320,6 @@ def fixed_grid_slice(cfg: GridConfig, l_u: int = 5) -> SlicingPlan:
                 )
             )
     return SlicingPlan(tuple(channels), cfg.f, cfg.s)
-
-
-def plan_from_counts(l_u: int, l_m: int) -> SlicingPlan:
-    """Count-only channel pool for experiments with a fixed channel topology.
-
-    Geometry is nominal (one RB per channel on a synthetic grid); contention
-    dynamics depend only on the per-mode channel counts.
-    """
-    if l_u < 0 or l_m < 0:
-        raise ValueError("channel counts must be non-negative")
-    channels = tuple(
-        ChannelAssignment(i, URLLC if i < l_u else MMTC, 0, i, 1, 0, 1)
-        for i in range(l_u + l_m)
-    )
-    return SlicingPlan(channels, max(1, l_u + l_m), 1, synthetic=True)
 
 
 def validate_constraints(plan: SlicingPlan, cfg: GridConfig) -> list[Violation]:

@@ -9,10 +9,10 @@ retrying after a failed access attempt (retry happens in the very next frame).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as _beta_fn
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class BacklogState:
     def active_u(self) -> int:
         return self.new_u + self.retry_u
 
-    @property
-    def active_total(self) -> int:
-        return self.active_m + self.active_u
-
 
 def beta_activation_profile(cfg: TrafficConfig, t: int) -> float:
     """Per-UE URLLC activation probability at frame t.
@@ -89,7 +85,9 @@ def beta_activation_profile(cfg: TrafficConfig, t: int) -> float:
         num = float(cfg.t_u) ** (b - 1.0)
     else:
         num = tau ** (a - 1.0) * (cfg.t_u - tau) ** (b - 1.0)
-    dens = num / (cfg.t_u ** (a + b - 1.0) * _beta_fn(a, b))
+    # B(a, b) through log-gamma: Gamma(a + b) alone overflows above a + b ~ 171
+    beta_fn = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    dens = num / (cfg.t_u ** (a + b - 1.0) * beta_fn)
     return float(min(max(dens, 0.0), 1.0))
 
 

@@ -20,7 +20,9 @@ from .metrics import predictor_mse, predictor_mse_raw
 from .predictor import (
     LstmPredictor,
     ObservationHistory,
+    cold_start_prior,
     naive_predict,
+    predict_backlog,
     record_observation,
     training_pairs,
 )
@@ -109,16 +111,15 @@ def train_backlog_predictor(
 
 def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, obs, bu, bm):
     """Per-frame predictions of both estimators over one held-out trace."""
-    from .predictor import predict_backlog
-
+    prior = cold_start_prior(cfg.traffic)
     hist = ObservationHistory(cfg.t_w)
     lstm_pred = {"u": [], "m": []}
     naive_pred = {"u": [], "m": []}
     truth = {"u": [], "m": []}
     for t, o in enumerate(obs):
         if len(hist) == cfg.t_w:
-            lp = predict_backlog(predictor, hist, hist)
-            np_ = naive_predict(hist, cfg.traffic.k_u, cfg.traffic.k_m)
+            lp = predict_backlog(predictor, hist)
+            np_ = naive_predict(hist, cfg.traffic.k_u, cfg.traffic.k_m, prior)
             lstm_pred["u"].append(lp.k_hat_u)
             lstm_pred["m"].append(lp.k_hat_m)
             naive_pred["u"].append(np_.k_hat_u)

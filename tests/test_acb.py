@@ -6,35 +6,37 @@ from scipy import stats
 
 from rasim.acb import (
     AcbPolicy,
-    acb_factor,
+    acb_factors,
     acb_round,
     parse_policy,
 )
 
 
+def factor(policy, n):
+    return acb_factors(policy, [n])[0]
+
+
 class TestFactor:
     def test_literal_rule_pair(self):
-        assert acb_factor(AcbPolicy("opt-lit"), 2) == pytest.approx(0.5)
+        assert factor(AcbPolicy("opt-lit"), 2) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("kind", ["gf", "opt-inv", "opt-lit"])
     def test_singleton_always_passes(self, kind):
-        assert acb_factor(AcbPolicy(kind), 1) == 1.0
-        assert acb_factor(AcbPolicy(kind), 0) == 1.0
+        assert acb_factors(AcbPolicy(kind), [1, 0]).tolist() == [1.0, 1.0]
 
     def test_static_singleton_passes(self):
         pol = AcbPolicy("static", 0.2)
-        assert acb_factor(pol, 1) == 1.0
-        assert acb_factor(pol, 5) == 0.2
+        assert acb_factors(pol, [1, 5, 0]).tolist() == [1.0, 0.2, 1.0]
 
     def test_inverse_rule(self):
-        assert acb_factor(AcbPolicy("opt-inv"), 4) == pytest.approx(0.25)
+        assert acb_factors(AcbPolicy("opt-inv"), [4, 2, 1]) == pytest.approx([0.25, 0.5, 1.0])
 
     def test_grant_free_always_one(self):
-        assert acb_factor(AcbPolicy("gf"), 50) == 1.0
+        assert factor(AcbPolicy("gf"), 50) == 1.0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            acb_factor(AcbPolicy("gf"), -1)
+            acb_factors(AcbPolicy("gf"), [3, -1])
 
     def test_parse(self):
         assert parse_policy("static:0.4") == AcbPolicy("static", 0.4)
@@ -47,19 +49,18 @@ class TestFactor:
 
 class TestRound:
     def test_degenerate_probabilities(self, rng):
-        assert acb_round(5, 1.0, rng) == 5
-        assert acb_round(5, 0.0, rng) == 0
-        assert acb_round(0, 0.3, rng) == 0
+        assert acb_round([5, 5, 0], [1.0, 0.0, 0.3], rng).tolist() == [5, 0, 0]
 
     def test_pass_one_consumes_no_randomness(self, rng):
         state = rng.bit_generator.state
-        acb_round(7, 1.0, rng)
+        assert acb_round([7, 0, 1], [1.0, 1.0, 1.0], rng).tolist() == [7, 0, 1]
         assert rng.bit_generator.state == state
 
     def test_single_survivor_frequency(self, rng):
         # binomial pmf oracle: P(exactly 1 of 10 at p=0.1) = 10 * 0.1 * 0.9^9
         trials = 100_000
-        hits = sum(acb_round(10, 0.1, rng) == 1 for _ in range(trials))
+        draws = acb_round(np.full(trials, 10), np.full(trials, 0.1), rng)
+        hits = np.count_nonzero(draws == 1)
         p = stats.binom.pmf(1, 10, 0.1)
         assert p == pytest.approx(10 * 0.1 * 0.9**9)
         se = math.sqrt(p * (1 - p) / trials)
@@ -67,7 +68,7 @@ class TestRound:
 
     def test_survivors_bounded_and_mean(self, rng):
         for n, p in [(4, 0.3), (12, 0.8), (30, 0.05)]:
-            draws = np.array([acb_round(n, p, rng) for _ in range(4000)])
+            draws = acb_round(np.full(4000, n), np.full(4000, p), rng)
             assert draws.max() <= n and draws.min() >= 0
             se = math.sqrt(n * p * (1 - p) / 4000)
             assert abs(draws.mean() - n * p) < 3 * se

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import enumerate_success_distribution, exhaustive_pack_count, make_config
 
-from rasim.acb import AcbPolicy, acb_round, parse_policy
+from rasim.acb import AcbPolicy, acb_factors, acb_round, parse_policy
 from rasim.engine import (
     SimulationConfig,
     contend_uniform,
@@ -92,11 +92,13 @@ def test_c05_acb_microbench():
     trials = 100_000
     for n in range(2, 11):
         p_one = n * (1 / n) * (1 - 1 / n) ** (n - 1)
-        hits_inv = sum(acb_round(n, 1 / n, rng) == 1 for _ in range(trials))
+        counts = np.full(trials, n)
+        inv, lit = (acb_factors(AcbPolicy(kind), counts) for kind in ("opt-inv", "opt-lit"))
+        hits_inv = np.count_nonzero(acb_round(counts, inv, rng) == 1)
         se = math.sqrt(p_one * (1 - p_one) / trials)
         assert abs(hits_inv / trials - p_one) < 3 * se, n
         if n >= 3:
-            hits_lit = sum(acb_round(n, 1 - 1 / n, rng) == 1 for _ in range(trials))
+            hits_lit = np.count_nonzero(acb_round(counts, lit, rng) == 1)
             assert hits_inv > hits_lit, n
     _report(
         "C5 ACB microbench",

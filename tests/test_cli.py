@@ -72,6 +72,16 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "field,spec", [("slicer", "counts:3"), ("slicer", "fixed:x"), ("predictor", "lstm:")]
+    )
+    def test_malformed_spec_fails_at_load(self, cfg_file, capsys, field, spec):
+        path = cfg_file({field: spec})
+        with pytest.raises(ConfigError, match="simulation"):
+            load_config(path)
+        assert main(["validate", "--config", path]) == 1
+        assert "simulation" in capsys.readouterr().err
+
 
 class TestSliceCommand:
     def test_prints_dump_and_grid(self, cfg_file, capsys):

@@ -6,14 +6,22 @@ import pytest
 
 from conftest import enumerate_success_distribution, make_config
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rasim.acb import AcbPolicy
 from rasim.engine import (
+    SimulationConfig,
+    SimulationState,
     contend_uniform,
     realization_metrics,
     realization_seed,
     run_monte_carlo,
     run_simulation,
 )
+from rasim.metrics import mean_and_stderr
+from rasim.predictor import PredictionResult
+from rasim.slicing import GridConfig, maxrect_slice
 
 
 class TestContention:
@@ -132,6 +140,26 @@ class TestFrames:
                 assert o.v_i_m == 2
 
 
+class TestCountSlicer:
+    @given(
+        f=st.integers(1, 24),
+        s=st.integers(1, 6),
+        nu=st.integers(1, 14),
+        p_u=st.integers(1, 40),
+        p_m=st.integers(1, 120),
+        xi=st.integers(0, 5),
+        k_u=st.integers(0, 150),
+        k_m=st.integers(0, 150),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_packer(self, f, s, nu, p_u, p_m, xi, k_u, k_m):
+        # demands up to 150 exceed the capacity of every grid drawn here
+        grid = GridConfig(f=f, s=s, nu=nu, p_u=p_u, p_m=p_m, xi=xi)
+        sim = SimulationState(SimulationConfig(grid=grid, slicer="maxrect"))
+        plan = maxrect_slice(grid, k_u, k_m)
+        assert sim.plan_for(PredictionResult(k_u, k_m)) == (plan.l_u, plan.l_m)
+
+
 class TestDeterminism:
     def test_same_seed_same_results(self):
         cfg = make_config(frames=50, slicer="maxrect", predictor="perfect", seed=42)
@@ -180,8 +208,8 @@ class TestMonteCarlo:
         )
         small = run_monte_carlo(dataclasses.replace(base, realizations=25))
         large = run_monte_carlo(dataclasses.replace(base, realizations=100))
-        se_small = np.nanmean(small.stderr("eta"))
-        se_large = np.nanmean(large.stderr("eta"))
+        se_small = np.nanmean([mean_and_stderr(col)[1] for col in small.stacks["eta"].T])
+        se_large = np.nanmean([mean_and_stderr(col)[1] for col in large.stacks["eta"].T])
         ratio = se_small / se_large
         assert 1.4 < ratio < 2.8  # ~sqrt(4) with Monte-Carlo slack
 
@@ -215,6 +243,13 @@ class TestPredictorsInTheLoop:
         for fr in run_simulation(cfg):
             assert 0 <= fr.prediction.k_hat_u <= cfg.traffic.k_u
             assert 0 <= fr.prediction.k_hat_m <= cfg.traffic.k_m
+
+    def test_naive_predictor_keeps_urllc_channels(self):
+        # a frame with no URLLC channel must not lock the URLLC estimate at 0
+        cfg = make_config(frames=400, realizations=4, slicer="maxrect", predictor="naive", seed=5)
+        mc = run_monte_carlo(cfg)
+        assert mc.steady_mean("l_u") > 0
+        assert mc.steady_mean("served_u") > 0
 
     def test_lstm_predictor_roundtrip_through_engine(self, tmp_path, rng):
         from rasim.lstm import init_lstm

@@ -12,7 +12,6 @@ from rasim.metrics import (
     predictor_mse,
     predictor_mse_raw,
 )
-from rasim.slicing import plan_from_counts
 from rasim.traffic import BacklogState
 
 from conftest import make_config
@@ -62,17 +61,15 @@ class TestThroughput:
 
 class TestChannelLoading:
     def test_unit_loading(self):
-        cl_u, cl_m = channel_loading(
-            BacklogState(new_u=5), plan_from_counts(5, 4)
-        )
+        cl_u, cl_m = channel_loading(BacklogState(new_u=5), (5, 4))
         assert cl_u == 1.0
 
     def test_two_users_per_channel(self):
-        _, cl_m = channel_loading(BacklogState(new_m=98), plan_from_counts(0, 49))
+        _, cl_m = channel_loading(BacklogState(new_m=98), (0, 49))
         assert cl_m == 2.0
 
     def test_missing_mode_absent(self):
-        cl_u, _ = channel_loading(BacklogState(new_u=3), plan_from_counts(0, 10))
+        cl_u, _ = channel_loading(BacklogState(new_u=3), (0, 10))
         assert math.isnan(cl_u)
 
     def test_slicing_lowers_urllc_loading_under_load(self):

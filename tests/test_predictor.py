@@ -6,6 +6,7 @@ from rasim.predictor import (
     LstmPredictor,
     Observation,
     ObservationHistory,
+    PredictionResult,
     estimate_from_idle,
     invert_idle_fraction,
     load_predictor,
@@ -85,13 +86,19 @@ class TestNaive:
     def test_naive_predict_per_class(self):
         hist = ObservationHistory()
         record_observation(hist, obs(0, u=(0, 0, 5), m=(0, 54, 0)))
-        pred = naive_predict(hist, 25, 1000)
+        pred = naive_predict(hist, 25, 1000, PredictionResult(2, 7))
         assert pred.k_hat_u == 0
         assert pred.k_hat_m == 1000  # saturated: no idle channels
 
+    def test_mode_without_channels_takes_prior(self):
+        # an unobserved mode must not read as empty, or it never gets channels again
+        hist = ObservationHistory()
+        record_observation(hist, obs(0, u=(0, 0, 0), m=(0, 0, 0)))
+        assert naive_predict(hist, 25, 1000, PredictionResult(2, 7)) == PredictionResult(2, 7)
+
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            naive_predict(ObservationHistory(), 25, 1000)
+            naive_predict(ObservationHistory(), 25, 1000, PredictionResult(0, 0))
 
 
 class TestLstmPredictions:
@@ -107,21 +114,21 @@ class TestLstmPredictions:
         pred = self._predictor(rng, b_out_u=1.2, b_out_m=1.2)
         hist = ObservationHistory(4)
         record_observation(hist, obs(0))
-        res = predict_backlog(pred, hist, hist)
+        res = predict_backlog(pred, hist)
         assert (res.k_hat_u, res.k_hat_m) == (25, 1000)
 
     def test_rounding_and_scaling(self, rng):
         pred = self._predictor(rng, b_out_u=0.1, b_out_m=0.0301)
         hist = ObservationHistory(4)
         record_observation(hist, obs(0))
-        res = predict_backlog(pred, hist, hist)
+        res = predict_backlog(pred, hist)
         assert res.k_hat_u == round(0.1 * 25)
         assert res.k_hat_m == round(0.0301 * 1000)
 
     def test_empty_history_rejected(self, rng):
         pred = self._predictor(rng)
         with pytest.raises(ValueError):
-            predict_backlog(pred, ObservationHistory(), ObservationHistory())
+            predict_backlog(pred, ObservationHistory())
 
     def test_invariant_to_channel_count_scale(self, rng):
         # doubling every raw count leaves the normalized window, and hence the
@@ -131,7 +138,7 @@ class TestLstmPredictions:
         for t in range(4):
             record_observation(h1, obs(t, u=(1, 2, 3), m=(5, 6, 7)))
             record_observation(h2, obs(t, u=(2, 4, 6), m=(10, 12, 14)))
-        assert predict_backlog(pred, h1, h1) == predict_backlog(pred, h2, h2)
+        assert predict_backlog(pred, h1) == predict_backlog(pred, h2)
 
     def test_bounds_hold_for_many_random_inputs(self, rng):
         # batched check over 10^5 random windows: output always in [0, 1]
@@ -181,7 +188,7 @@ class TestSerialization:
         assert loaded.t_w == 8
         hist = ObservationHistory(8)
         record_observation(hist, obs(0))
-        assert predict_backlog(loaded, hist, hist) == predict_backlog(pred, hist, hist)
+        assert predict_backlog(loaded, hist) == predict_backlog(pred, hist)
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
 

@@ -18,7 +18,6 @@ from rasim.slicing import (
     numerology_symbols,
     packet_size_rbs,
     plan_dump_lines,
-    plan_from_counts,
     render_plan_grid,
     tti_ms,
     validate_constraints,
@@ -235,12 +234,13 @@ class TestObjective:
     def test_stock_weights_case(self, stock_grid):
         # L_u=5, L_m=16, backlog 30, k_u=25 so the bound is min(21, 16) = 16:
         # 0.9*5 + 0.05*16 - 0.05*(30 - 16) = 4.6
-        plan = plan_from_counts(5, 16)
+        plan = maxrect_slice(stock_grid, 5, 16)
+        assert (plan.l_u, plan.l_m) == (5, 16)
         assert evaluate_objective(plan, stock_grid, 30, 25) == pytest.approx(4.6)
 
     def test_urllc_channel_adds_its_weight_when_penalty_slack(self, stock_grid):
-        a = evaluate_objective(plan_from_counts(4, 10), stock_grid, 5, 0)
-        b = evaluate_objective(plan_from_counts(5, 10), stock_grid, 5, 0)
+        a = evaluate_objective(maxrect_slice(stock_grid, 4, 10), stock_grid, 5, 0)
+        b = evaluate_objective(maxrect_slice(stock_grid, 5, 10), stock_grid, 5, 0)
         assert b - a == pytest.approx(stock_grid.omega_u)
 
 

@@ -43,11 +43,12 @@ class TestActivationProfile:
             beta_activation_profile(TrafficConfig(), -1)
 
     def test_profile_is_periodic_and_bounded(self):
-        cfg = TrafficConfig(alpha=2.5, beta=1.5, t_u=7)
-        for t in range(30):
-            v = beta_activation_profile(cfg, t)
-            assert 0.0 <= v <= 1.0
-            assert v == beta_activation_profile(cfg, t + cfg.t_u)
+        # alpha = beta = 100: Gamma(a + b) alone would overflow a float
+        for cfg in (TrafficConfig(alpha=2.5, beta=1.5, t_u=7), TrafficConfig(alpha=100, beta=100)):
+            for t in range(30):
+                v = beta_activation_profile(cfg, t)
+                assert 0.0 <= v <= 1.0
+                assert v == beta_activation_profile(cfg, t + cfg.t_u)
 
 
 class TestArrivalSampling:

@@ -62,7 +62,7 @@ class TestTrainBacklogPredictor:
         hist = ObservationHistory(10)
         for t in range(10):
             record_observation(hist, Observation(0, 0, 5, 0, 0, 49, frame_index=t))
-        res = predict_backlog(predictor, hist, hist)
+        res = predict_backlog(predictor, hist)
         assert res.k_hat_m <= 0.02 * 500
 
     def test_invalid_sizes_rejected(self):
