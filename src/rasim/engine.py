@@ -25,6 +25,7 @@ from .predictor import (
     Observation,
     ObservationHistory,
     PredictionResult,
+    check_predictor_matches,
     cold_start_prior,
     load_predictor,
     naive_predict,
@@ -162,8 +163,11 @@ class SimulationState:
         predictor = parse_predictor(cfg.predictor)
         self._predictor = predictor.kind
         self._lstm = lstm
-        if predictor.kind == LSTM and lstm is None:
-            self._lstm = load_predictor(predictor.model_path)
+        if predictor.kind == LSTM:
+            if lstm is None:
+                self._lstm = load_predictor(predictor.model_path)
+            source = f"model file {predictor.model_path}" if lstm is None else "LSTM model"
+            check_predictor_matches(self._lstm, cfg.t_w, cfg.traffic, source)
         slicer = parse_slicer(cfg.slicer)
         self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
         if slicer.kind == FIXED:

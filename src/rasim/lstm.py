@@ -9,6 +9,11 @@ backward pass is exact backpropagation through time (verified against finite
 differences in the test suite).
 
 Gate order in the stacked weight matrices is forget, input, output, candidate.
+
+Several models run as one: ``stack_models`` gives their arrays a leading
+class axis, and the forward and backward passes take any number of leading
+class axes, so every numpy call serves all the models at once. Model c of a
+stack computes exactly what it computes alone.
 """
 
 from __future__ import annotations
@@ -20,19 +25,21 @@ import numpy as np
 
 @dataclass
 class LstmModel:
-    w_x: np.ndarray   # (4*hidden, input)
-    w_h: np.ndarray   # (4*hidden, hidden)
-    b: np.ndarray     # (4*hidden,)
-    w_out: np.ndarray  # (hidden,)
-    b_out: float
+    """One model, or a stack of them with a leading class axis on every array."""
+
+    w_x: np.ndarray   # (..., 4*hidden, input)
+    w_h: np.ndarray   # (..., 4*hidden, hidden)
+    b: np.ndarray     # (..., 4*hidden)
+    w_out: np.ndarray  # (..., hidden)
+    b_out: float | np.ndarray  # a float, or (...) for a stack
 
     @property
     def hidden_size(self) -> int:
-        return self.w_out.size
+        return self.w_out.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_x.shape[-1]
 
     def param_items(self):
         return (
@@ -40,12 +47,7 @@ class LstmModel:
             ("w_h", self.w_h),
             ("b", self.b),
             ("w_out", self.w_out),
-            ("b_out", np.array([self.b_out])),
-        )
-
-    def copy(self) -> "LstmModel":
-        return LstmModel(
-            self.w_x.copy(), self.w_h.copy(), self.b.copy(), self.w_out.copy(), self.b_out
+            ("b_out", np.asarray(self.b_out, dtype=float)[..., None]),
         )
 
 
@@ -71,145 +73,237 @@ def init_lstm(
     return model
 
 
+def _by_gate(a: np.ndarray) -> np.ndarray:
+    """View of a gate-stacked array (4*hidden, ...) as (4, hidden, ...)."""
+    return a.reshape(4, -1, *a.shape[1:])
+
+
+def stack_models(models) -> LstmModel:
+    """One model whose arrays carry a leading class axis, entry c being models[c].
+
+    A model with fewer hidden units than the largest is padded with zero
+    units: zero weights and bias in every gate and in the head. A zero unit's
+    candidate is tanh(0) = 0, so its cell and output stay exactly 0, it feeds
+    nothing into the other units, and its gradients are 0.
+    """
+    models = list(models)
+    k, hd, n_in = len(models), max(m.hidden_size for m in models), models[0].input_size
+    out = LstmModel(
+        w_x=np.zeros((k, 4 * hd, n_in)),
+        w_h=np.zeros((k, 4 * hd, hd)),
+        b=np.zeros((k, 4 * hd)),
+        w_out=np.zeros((k, hd)),
+        b_out=np.zeros(k),
+    )
+    for c, m in enumerate(models):
+        h = m.hidden_size
+        _by_gate(out.w_x[c])[:, :h] = _by_gate(m.w_x)
+        _by_gate(out.w_h[c])[:, :h, :h] = _by_gate(m.w_h)
+        _by_gate(out.b[c])[:, :h] = _by_gate(m.b)
+        out.w_out[c, :h] = m.w_out
+        out.b_out[c] = m.b_out
+    return out
+
+
+def unstack_model(stacked: LstmModel, index: int, hidden_size: int) -> LstmModel:
+    """Model ``index`` of a stack, without padding units beyond ``hidden_size``.
+
+    The arrays are views into the stack when the model was not padded.
+    """
+    h = hidden_size
+    return LstmModel(
+        w_x=_by_gate(stacked.w_x[index])[:, :h].reshape(4 * h, -1),
+        w_h=_by_gate(stacked.w_h[index])[:, :h, :h].reshape(4 * h, h),
+        b=_by_gate(stacked.b[index])[:, :h].reshape(4 * h),
+        w_out=stacked.w_out[index, :h],
+        b_out=float(stacked.b_out[index]),
+    )
+
+
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), computed in one buffer."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _forward_batch(model: LstmModel, x: np.ndarray):
-    """Run the recurrence over a batch of windows x (n, t, input).
+    """Run the recurrence over a batch of windows x (..., n, t, input).
 
-    Returns raw head outputs (n,) and the per-step caches needed by BPTT.
+    Axes before the batch axis are class axes and pair with the model's.
+    Returns raw head outputs (..., n), the final (hidden, cell) state and the
+    per-step caches that BPTT needs: the cell state before the step, the
+    sigmoid of the forget|input|output block and the candidate. The hidden
+    state is left out; BPTT recomputes it with the forward pass's own ops.
     """
-    if x.ndim != 3 or x.shape[2] != model.input_size:
+    if x.ndim < 3 or x.shape[-1] != model.input_size:
         raise ValueError(
             f"window shape {x.shape} incompatible with input size {model.input_size}"
         )
-    n, t_len, _ = x.shape
-    h_dim = model.hidden_size
-    h = np.zeros((n, h_dim))
-    c = np.zeros((n, h_dim))
+    hd = model.hidden_size
+    h = np.zeros(x.shape[:-2] + (hd,))
+    c = np.zeros_like(h)
+    w_x_t = np.swapaxes(model.w_x, -1, -2)
+    w_h_t = np.swapaxes(model.w_h, -1, -2)
+    b = model.b[..., None, :]
     caches = []
-    for t in range(t_len):
-        xt = x[:, t, :]
-        a = xt @ model.w_x.T + h @ model.w_h.T + model.b
-        f = _sigmoid(a[:, :h_dim])
-        i = _sigmoid(a[:, h_dim : 2 * h_dim])
-        o = _sigmoid(a[:, 2 * h_dim : 3 * h_dim])
-        g = np.tanh(a[:, 3 * h_dim :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        caches.append((xt, h, c, f, i, o, g, tc))
-        h = o * tc
-        c = c_new
-    y = h @ model.w_out + model.b_out
-    return y, h, caches
+    for t in range(x.shape[-2]):
+        a = x[..., t, :] @ w_x_t
+        a += h @ w_h_t
+        a += b
+        s = _sigmoid(a[..., : 3 * hd])
+        g = np.tanh(a[..., 3 * hd :])
+        caches.append((c, s, g))
+        c = s[..., :hd] * c + s[..., hd : 2 * hd] * g
+        h = s[..., 2 * hd :] * np.tanh(c)
+    y = (h @ model.w_out[..., :, None])[..., 0] + np.asarray(model.b_out)[..., None]
+    return y, (h, c), caches
 
 
-def lstm_forward(model: LstmModel, window: np.ndarray) -> float:
-    """Deterministic estimate for one window (t, input), clamped to [0, 1]."""
+def lstm_forward(model: LstmModel, window: np.ndarray):
+    """Deterministic estimate for one window (t, input), clamped to [0, 1].
+
+    For a stack of k models the window is (k, t, input), window c going to
+    model c, and the result is an array of k estimates.
+    """
     window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[0] < 1:
-        raise ValueError("window must be a non-empty (t, input) array")
-    y, _, _ = _forward_batch(model, window[None, :, :])
-    return float(min(max(y[0], 0.0), 1.0))
+    if window.ndim != np.ndim(model.b_out) + 2 or window.shape[-2] < 1:
+        raise ValueError("window must be a non-empty (t, input) array per model")
+    y, _, _ = _forward_batch(model, window[..., None, :, :])
+    y = np.clip(y[..., 0], 0.0, 1.0)
+    return float(y) if y.ndim == 0 else y
 
 
 def lstm_loss_and_grads(model: LstmModel, x: np.ndarray, targets: np.ndarray):
-    """MSE over the batch and its exact gradients w.r.t. every parameter."""
-    y, h_last, caches = _forward_batch(model, x)
-    n = x.shape[0]
-    h_dim = model.hidden_size
+    """MSE over the batch and its exact gradients w.r.t. every parameter.
+
+    With class axes, x is (..., n, t, input) and targets (..., n); the loss
+    and every gradient then carry the class axes, entry c being model c's.
+    """
+    y, (h_last, c_last), caches = _forward_batch(model, x)
+    n = x.shape[-3]
+    hd = model.hidden_size
     err = y - targets
-    loss = float(np.mean(err**2))
+    loss = np.mean(err**2, axis=-1)
+    d_y = 2.0 * err / n
 
     grads = {
         "w_x": np.zeros_like(model.w_x),
         "w_h": np.zeros_like(model.w_h),
         "b": np.zeros_like(model.b),
-        "w_out": h_last.T @ (2.0 * err / n),
-        "b_out": np.array([float(np.sum(2.0 * err / n))]),
+        "w_out": (np.swapaxes(h_last, -1, -2) @ d_y[..., None])[..., 0],
+        "b_out": np.sum(d_y, axis=-1)[..., None],
     }
-    dh = np.outer(2.0 * err / n, model.w_out)
-    dc = np.zeros((n, h_dim))
-    for xt, h_prev, c_prev, f, i, o, g, tc in reversed(caches):
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc**2)
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        da = np.concatenate(
-            [
-                df * f * (1.0 - f),
-                di * i * (1.0 - i),
-                do * o * (1.0 - o),
-                dg * (1.0 - g**2),
-            ],
-            axis=1,
-        )
-        grads["w_x"] += da.T @ xt
-        grads["w_h"] += da.T @ h_prev
-        grads["b"] += da.sum(axis=0)
+    dh = d_y[..., :, None] * model.w_out[..., None, :]
+    dc = np.zeros_like(c_last)
+    tc = np.tanh(c_last)
+    for t in reversed(range(len(caches))):
+        c_prev, s, g = caches[t]
+        dc = dc + dh * s[..., 2 * hd :] * (1.0 - tc**2)
+        ds = np.concatenate([dc * c_prev, dc * g, dh * tc], axis=-1)
+        ds *= s
+        ds *= 1.0 - s
+        da = np.concatenate([ds, dc * s[..., hd : 2 * hd] * (1.0 - g**2)], axis=-1)
+        tc = np.tanh(c_prev)
+        h_prev = caches[t - 1][1][..., 2 * hd :] * tc if t else np.zeros_like(c_prev)
+        da_t = np.swapaxes(da, -1, -2)
+        grads["w_x"] += da_t @ x[..., t, :]
+        grads["w_h"] += da_t @ h_prev
+        grads["b"] += da.sum(axis=-2)
         dh = da @ model.w_h
-        dc = dc * f
+        dc = dc * s[..., :hd]
     return loss, grads
 
 
 def _clip_global_norm(grads: dict, max_norm: float):
-    total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-    if total > max_norm > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+    """Scale each model's gradients (leading axis) to a global norm of at most max_norm."""
+    for c in range(len(grads["b_out"])):
+        total = np.sqrt(sum(float(np.sum(g[c] ** 2)) for g in grads.values()))
+        if total > max_norm > 0:
+            scale = max_norm / total
+            for g in grads.values():
+                g[c] *= scale
     return grads
+
+
+def _training_arrays(dataset):
+    """(x, y) arrays of a dataset given as arrays or as (window, target) pairs."""
+    if isinstance(dataset, tuple) and all(isinstance(a, np.ndarray) for a in dataset):
+        return dataset
+    pairs = list(dataset)
+    if not pairs:
+        raise ValueError("training dataset is empty")
+    x = np.stack([np.asarray(w, dtype=float) for w, _ in pairs])
+    return x, np.asarray([t for _, t in pairs], dtype=float)
 
 
 def lstm_train(
     dataset,
     epochs: int,
     learning_rate: float = 1e-2,
-    rng: np.random.Generator | None = None,
+    rng=None,
     hidden_size: int = 20,
     batch_size: int = 32,
     clip_norm: float = 1.0,
-    model: LstmModel | None = None,
+    model=None,
 ):
     """Fit a model to (window, target) pairs; returns (model, epoch losses).
 
+    ``dataset`` is a list of (window, target) pairs, or a tuple of arrays
+    ``(x, y)`` with x of shape (n, t, input) and y (n,). A leading class axis,
+    x (k, n, t, input) and y (k, n), trains k models in lockstep as one stack:
+    ``rng`` and ``model`` are then sequences of k, and the result is a list
+    of k models and a list of k loss lists. Each model draws its init and
+    permutations from its own generator, is clipped by its own global norm and
+    is checked for divergence on its own, so model c comes out exactly as if
+    trained alone on (x[c], y[c]) with rng[c].
+
     Targets must already be normalized to [0, 1] and all windows must share
-    one length. Raises RuntimeError if the loss goes non-finite.
+    one length. Raises RuntimeError if a loss goes non-finite.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    pairs = list(dataset)
-    if not pairs:
+    x, y = _training_arrays(dataset)
+    single = x.ndim == 3
+    if single:
+        x, y, rng, model = x[None], y[None], [rng], None if model is None else [model]
+    k, n = y.shape
+    if n == 0:
         raise ValueError("training dataset is empty")
-    x = np.stack([np.asarray(w, dtype=float) for w, _ in pairs])
-    y = np.asarray([t for _, t in pairs], dtype=float)
     if y.min() < -1e-9 or y.max() > 1.0 + 1e-9:
         raise ValueError("targets must be normalized to [0, 1]")
-    rng = rng or np.random.default_rng()
+    rngs = [r or np.random.default_rng() for r in rng]
     if model is None:
-        model = init_lstm(hidden_size, x.shape[2], rng)
+        model = [init_lstm(hidden_size, x.shape[-1], r) for r in rngs]
+    if len(rngs) != k or len(model) != k:
+        raise ValueError(f"{k} datasets need {k} generators and {k} models")
+    hidden = [m.hidden_size for m in model]
+    stack = stack_models(model)
 
-    n = x.shape[0]
+    classes = np.arange(k)[:, None]
     losses = []
     for epoch in range(epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
+        perms = np.stack([r.permutation(n) for r in rngs])
+        epoch_loss = np.zeros(k)
         for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            loss, grads = lstm_loss_and_grads(model, x[idx], y[idx])
-            if not np.isfinite(loss):
+            idx = perms[:, start : start + batch_size]
+            loss, grads = lstm_loss_and_grads(stack, x[classes, idx], y[classes, idx])
+            finite = np.isfinite(loss)
+            if not finite.all():
+                c = int(np.argmin(finite))
                 raise RuntimeError(
-                    f"training diverged at epoch {epoch}: loss {loss!r} "
+                    f"training diverged at epoch {epoch}: model {c} loss {float(loss[c])!r} "
                     f"(lr={learning_rate}, batch={batch_size})"
                 )
             _clip_global_norm(grads, clip_norm)
-            model.w_x -= learning_rate * grads["w_x"]
-            model.w_h -= learning_rate * grads["w_h"]
-            model.b -= learning_rate * grads["b"]
-            model.w_out -= learning_rate * grads["w_out"]
-            model.b_out -= learning_rate * float(grads["b_out"][0])
-            epoch_loss += loss * len(idx)
+            stack.w_x -= learning_rate * grads["w_x"]
+            stack.w_h -= learning_rate * grads["w_h"]
+            stack.b -= learning_rate * grads["b"]
+            stack.w_out -= learning_rate * grads["w_out"]
+            stack.b_out -= learning_rate * grads["b_out"][:, 0]
+            epoch_loss += loss * idx.shape[1]
         losses.append(epoch_loss / n)
-    return model, losses
+    trained = [unstack_model(stack, c, h) for c, h in enumerate(hidden)]
+    per_model = np.array(losses).T.tolist()
+    return (trained[0], per_model[0]) if single else (trained, per_model)

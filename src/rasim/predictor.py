@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .lstm import LstmModel, lstm_forward
+from .lstm import LstmModel, lstm_forward, stack_models, unstack_model
 from .traffic import BacklogState, TrafficConfig, expected_arrivals_per_frame
 
 MODEL_FORMAT_VERSION = "rasim-lstm v1"
@@ -68,14 +70,24 @@ class ObservationHistory:
     def last(self) -> Observation:
         return self._window[-1]
 
-    def normalized_window(self, mode: str) -> np.ndarray:
-        """(len, 3) array of state fractions; zero rows for zero-channel frames."""
-        rows = []
-        for obs in self._window:
-            s, c, i = obs.triplet(mode)
-            total = s + c + i
-            rows.append((s / total, c / total, i / total) if total else (0.0, 0.0, 0.0))
-        return np.array(rows)
+    def normalized_window(self) -> np.ndarray:
+        """(2, len, 3) state fractions of the window, URLLC first (see state_fractions)."""
+        return state_fractions(self._window)
+
+
+_COUNTS = attrgetter("v_s_u", "v_c_u", "v_i_u", "v_s_m", "v_c_m", "v_i_m")
+
+
+def state_fractions(observations) -> np.ndarray:
+    """(2, frames, 3) success/collision/idle fractions per class, URLLC first.
+
+    Each frame's triplet is divided by that frame's channel count of the
+    class; a frame without channels of the class gives a zero row.
+    """
+    counts = np.array(list(map(_COUNTS, observations)), dtype=float)
+    counts = counts.reshape(-1, 2, 3).swapaxes(0, 1)
+    total = counts.sum(axis=-1, keepdims=True)
+    return np.divide(counts, total, out=np.zeros(counts.shape), where=total > 0)
 
 
 def record_observation(hist: ObservationHistory, obs: Observation) -> ObservationHistory:
@@ -101,7 +113,11 @@ class PredictionResult:
 def cold_start_prior(cfg: TrafficConfig) -> PredictionResult:
     """Rounded long-run mean arrivals: the estimate made without an observation."""
     mean_u, mean_m = expected_arrivals_per_frame(cfg)
-    return PredictionResult(round(mean_u), round(mean_m))
+    # at least 1 for a class with devices: 0 would give it no channels, so
+    # the class would go unobserved, and without channels, for good
+    return PredictionResult(
+        max(round(mean_u), min(cfg.k_u, 1)), max(round(mean_m), min(cfg.k_m, 1))
+    )
 
 
 def perfect_predict(state: BacklogState) -> PredictionResult:
@@ -161,44 +177,79 @@ def naive_predict(
     return PredictionResult(out[0], out[1])
 
 
-@dataclass
 class LstmPredictor:
-    """Trained per-mode models plus the constants needed to denormalize."""
+    """Both class models as one stack (URLLC first), plus the constants needed
+    to denormalize.
 
-    model_u: LstmModel
-    model_m: LstmModel
-    population_u: int
-    population_m: int
-    t_w: int = 10
+    The stack is built once, here, and holds the only copy of the weights;
+    ``model_u`` and ``model_m`` read each class model back out of it.
+    """
+
+    def __init__(
+        self,
+        model_u: LstmModel,
+        model_m: LstmModel,
+        population_u: int,
+        population_m: int,
+        t_w: int = 10,
+    ):
+        self.stack = stack_models((model_u, model_m))
+        self.hidden = (model_u.hidden_size, model_m.hidden_size)
+        self.population_u = population_u
+        self.population_m = population_m
+        self.t_w = t_w
+
+    @property
+    def model_u(self) -> LstmModel:
+        return unstack_model(self.stack, 0, self.hidden[0])
+
+    @property
+    def model_m(self) -> LstmModel:
+        return unstack_model(self.stack, 1, self.hidden[1])
+
+
+def check_predictor_matches(
+    predictor: LstmPredictor, t_w: int, traffic: TrafficConfig, source: str
+):
+    """Refuse a model made for another window length or other class populations.
+
+    Its window would be cut to the wrong length, and its estimates, scaled
+    by the populations it was trained at, would clamp to them.
+    """
+    for name, have, want in (
+        ("t_w", predictor.t_w, t_w),
+        ("traffic.k_u", predictor.population_u, traffic.k_u),
+        ("traffic.k_m", predictor.population_m, traffic.k_m),
+    ):
+        if have != want:
+            raise ValueError(f"{source}: model has {name} {have}, the config {want}")
 
 
 def predict_backlog(predictor: LstmPredictor, hist: ObservationHistory) -> PredictionResult:
-    """Run both class models over the window; round and clamp to population."""
+    """Run both class models over the window in one pass; round and clamp to population."""
     if not len(hist):
         raise ValueError("history is empty")
-    raw_u = lstm_forward(predictor.model_u, hist.normalized_window("urllc"))
-    raw_m = lstm_forward(predictor.model_m, hist.normalized_window("mmtc"))
+    raw_u, raw_m = lstm_forward(predictor.stack, hist.normalized_window()).tolist()
     k_u = max(0, min(predictor.population_u, round(raw_u * predictor.population_u)))
     k_m = max(0, min(predictor.population_m, round(raw_m * predictor.population_m)))
     return PredictionResult(k_u, k_m)
 
 
 def training_pairs(observations, backlog_u, backlog_m, t_w, population_u, population_m):
-    """Turn one simulated trace into per-mode (window, normalized target) pairs.
+    """Turn one simulated trace of at least t_w frames into windows and targets.
 
-    The window ending at frame t-1 is paired with the backlog of frame t,
-    matching what the predictor must do online.
+    Returns x of shape (2, n, t_w, 3) and y of shape (2, n), URLLC first,
+    with n = frames - t_w: window j holds the state fractions of frames
+    j .. j + t_w - 1 and is paired with the normalized backlog of frame
+    j + t_w, matching what the predictor must do online. x is a read-only
+    view of the trace's fraction table.
     """
     if not (len(observations) == len(backlog_u) == len(backlog_m)):
         raise ValueError("trace columns must have equal length")
-    hist = ObservationHistory(t_w)
-    pairs_u, pairs_m = [], []
-    for t, obs in enumerate(observations):
-        if len(hist) == t_w:
-            pairs_u.append((hist.normalized_window("urllc"), backlog_u[t] / population_u))
-            pairs_m.append((hist.normalized_window("mmtc"), backlog_m[t] / population_m))
-        record_observation(hist, obs)
-    return pairs_u, pairs_m
+    fractions = state_fractions(observations)[:, :-1]
+    x = sliding_window_view(fractions, t_w, axis=1).swapaxes(-1, -2)
+    backlog = np.array([backlog_u[t_w:], backlog_m[t_w:]], dtype=float)
+    return x, backlog / np.array([[population_u], [population_m]])
 
 
 def _write_array(lines: list[str], name: str, arr: np.ndarray):
@@ -229,36 +280,66 @@ def save_predictor(predictor: LstmPredictor, path):
 
 
 def load_predictor(path) -> LstmPredictor:
+    """Read a file written by save_predictor.
+
+    A malformed or truncated file raises ValueError naming the file and the
+    line at fault.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model file (expected '{MODEL_FORMAT_VERSION}')")
-    t_w = int(lines[1].split()[1])
-    pos = 2
-    models, pops = {}, {}
-    while pos < len(lines):
-        head = lines[pos].split()
-        if head[0] != "class":
-            raise ValueError(f"malformed model file at line {pos + 1}")
-        tag, pop = head[1], int(head[3])
-        pos += 1
-        arrays = {}
-        for _ in range(5):
-            aname, rows, cols = lines[pos].split()[1:4]
-            rows, cols = int(rows), int(cols)
-            block = [
-                [float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)
-            ]
-            arrays[aname] = np.array(block)
-            pos += 1 + rows
-        models[tag] = LstmModel(
-            w_x=arrays["w_x"],
-            w_h=arrays["w_h"],
-            b=arrays["b"].ravel(),
-            w_out=arrays["w_out"].ravel(),
-            b_out=float(arrays["b_out"][0, 0]),
-        )
-        pops[tag] = pop
-    if set(models) != {"u", "m"}:
-        raise ValueError("model file must contain exactly one model per class")
+    line = 0  # number of the line being read
+
+    def fields(keyword: str, count: int) -> list[str]:
+        """The count words after keyword on the next line."""
+        nonlocal line
+        line += 1
+        if line > len(lines):
+            raise ValueError(f"file ends, expected '{keyword}'")
+        words = lines[line - 1].split()
+        if words[:1] != [keyword] or len(words) != count + 1:
+            raise ValueError(f"expected '{keyword}' and {count} value(s)")
+        return words[1:]
+
+    def array(name: str, rows: int, cols: int) -> np.ndarray:
+        nonlocal line
+        if fields("array", 3) != [name, str(rows), str(cols)]:
+            raise ValueError(f"expected 'array {name} {rows} {cols}'")
+        block = []
+        for _ in range(rows):
+            line += 1
+            if line > len(lines):
+                raise ValueError(f"file ends inside array {name}")
+            block.append([float(v) for v in lines[line - 1].split()])
+            if len(block[-1]) != cols:
+                raise ValueError(f"array {name} needs {cols} values per row")
+        return np.array(block)
+
+    try:
+        if fields("rasim-lstm", 1) != ["v1"]:
+            raise ValueError(f"unsupported model file (expected '{MODEL_FORMAT_VERSION}')")
+        t_w = int(fields("t_w", 1)[0])
+        if t_w < 1:
+            raise ValueError("t_w must be >= 1")
+        models, pops = {}, {}
+        while line < len(lines):
+            tag, w_pop, pop, w_hidden, h = fields("class", 5)
+            h = int(h)
+            header = (w_pop, w_hidden) == ("population", "hidden")
+            if tag not in ("u", "m") or tag in models or not header:
+                raise ValueError("expected 'class <u|m> population <P> hidden <H>', once per class")
+            if h < 1:
+                raise ValueError("hidden must be >= 1")
+            pops[tag] = int(pop)
+            models[tag] = LstmModel(
+                w_x=array("w_x", 4 * h, 3),
+                w_h=array("w_h", 4 * h, h),
+                b=array("b", 1, 4 * h).ravel(),
+                w_out=array("w_out", 1, h).ravel(),
+                b_out=float(array("b_out", 1, 1)[0, 0]),
+            )
+        if set(models) != {"u", "m"}:
+            line += 1
+            raise ValueError("file ends, expected one model per class (u and m)")
+    except ValueError as exc:
+        raise ValueError(f"malformed model file {path}, line {line}: {exc}") from None
     return LstmPredictor(models["u"], models["m"], pops["u"], pops["m"], t_w)

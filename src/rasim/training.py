@@ -69,7 +69,8 @@ def train_backlog_predictor(
     """Train both class models and score them against the naive baseline.
 
     Sample counts refer to usable windows; the generated traces are longer by
-    the warm-up window. Everything is seeded from cfg.seed, so the same
+    the warm-up window. Both models train in lockstep, as one stack, each
+    from its own generator. Everything is seeded from cfg.seed, so the same
     config yields byte-identical serialized models.
     """
     if samples < 1:
@@ -80,15 +81,14 @@ def train_backlog_predictor(
     val_samples = val_samples or max(1, samples // 5)
 
     obs, bu, bm = generate_trace(cfg, samples + cfg.t_w, seed=cfg.seed)
-    pairs_u, pairs_m = training_pairs(obs, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
+    x, y = training_pairs(obs, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
 
-    rng_u = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(101,)))
-    rng_m = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(102,)))
-    model_u, hist_u = lstm_train(
-        pairs_u, epochs, learning_rate, rng_u, hidden_size=hidden_size
-    )
-    model_m, hist_m = lstm_train(
-        pairs_m, epochs, learning_rate, rng_m, hidden_size=hidden_size
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(key,)))
+        for key in (101, 102)
+    ]
+    (model_u, model_m), (hist_u, hist_m) = lstm_train(
+        (x, y), epochs, learning_rate, rngs, hidden_size=hidden_size
     )
     predictor = LstmPredictor(model_u, model_m, tc.k_u, tc.k_m, cfg.t_w)
 
@@ -104,7 +104,7 @@ def train_backlog_predictor(
         naive_mse_u=predictor_mse(naive_pred["u"], truth["u"], tc.k_u),
         naive_mse_m=predictor_mse(naive_pred["m"], truth["m"], tc.k_m),
         epochs=epochs,
-        samples=len(pairs_u),
+        samples=x.shape[1],
     )
     return predictor, report
 

@@ -114,6 +114,56 @@ class TestTrainCommand:
         assert code == 1
 
 
+class TestModelFiles:
+    """A model file that cannot be read, or does not fit the config, is a config error."""
+
+    @pytest.fixture
+    def model_file(self, tmp_path):
+        from rasim.lstm import init_lstm
+        from rasim.predictor import LstmPredictor, save_predictor
+
+        rng = np.random.default_rng(5)
+        path = tmp_path / "m.model"
+        pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000)
+        save_predictor(pred, path)
+        return path
+
+    def _simulate(self, cfg_file, tmp_path, model, **fields):
+        cfg = cfg_file({"predictor": f"lstm:{model}", "slicer": "maxrect", "frames": 5, **fields})
+        return main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "cut,line",
+        [
+            pytest.param(lambda lines: lines[:30], 31, id="truncated"),
+            pytest.param(lambda lines: lines[:7] + ["0.1 oops 0.3"] + lines[8:], 8, id="garbled"),
+        ],
+    )
+    def test_malformed_model_names_file_and_line(
+        self, cfg_file, tmp_path, capsys, model_file, cut, line
+    ):
+        lines = model_file.read_text().splitlines()
+        model_file.write_text("\n".join(cut(lines)) + "\n")
+        assert self._simulate(cfg_file, tmp_path, model_file) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(model_file) in err and f"line {line}" in err
+
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ({"t_w": 3}, "t_w"),
+            ({"traffic": {"k_m": 5000}}, "k_m"),
+            ({"traffic": {"k_u": 4}}, "k_u"),
+        ],
+    )
+    def test_model_for_another_config_refused(
+        self, cfg_file, tmp_path, capsys, model_file, fields, name
+    ):
+        assert self._simulate(cfg_file, tmp_path, model_file, **fields) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err and str(model_file) in err
+
+
 class TestSimulateCommand:
     def _run(self, cfg_file, tmp_path, name, extra=()):
         out = tmp_path / name

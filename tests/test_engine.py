@@ -251,6 +251,13 @@ class TestPredictorsInTheLoop:
         assert mc.steady_mean("l_u") > 0
         assert mc.steady_mean("served_u") > 0
 
+    def test_naive_predictor_keeps_urllc_channels_for_few_devices(self):
+        # at k_u <= 5 the long-run mean rounds to 0; the prior must still be >= 1
+        cfg = make_config(
+            traffic__k_u=5, frames=200, slicer="maxrect", predictor="naive", seed=5
+        )
+        assert run_monte_carlo(cfg).steady_mean("l_u") > 0
+
     def test_lstm_predictor_roundtrip_through_engine(self, tmp_path, rng):
         from rasim.lstm import init_lstm
         from rasim.predictor import LstmPredictor, save_predictor

@@ -5,10 +5,13 @@ import pytest
 
 from rasim.lstm import (
     LstmModel,
+    _forward_batch,
     init_lstm,
     lstm_forward,
     lstm_loss_and_grads,
     lstm_train,
+    stack_models,
+    unstack_model,
 )
 
 
@@ -138,3 +141,132 @@ class TestTraining:
         m2, _ = lstm_train(data, epochs=20, rng=np.random.default_rng(11), hidden_size=5)
         for (_, a), (_, b) in zip(m1.param_items(), m2.param_items()):
             assert np.array_equal(a, b)
+
+
+class TestStackedModels:
+    """A stack of models computes what each model computes alone."""
+
+    def _pair(self, rng, hidden=(6, 6)):
+        return [init_lstm(h, rng=rng, scale=0.8) for h in hidden]
+
+    def test_unstack_returns_each_model(self, rng):
+        models = self._pair(rng, hidden=(5, 3))
+        stack = stack_models(models)
+        assert stack.w_x.shape == (2, 20, 3) and stack.b_out.shape == (2,)
+        for c, model in enumerate(models):
+            back = unstack_model(stack, c, model.hidden_size)
+            for (_, a), (_, b) in zip(model.param_items(), back.param_items()):
+                assert np.array_equal(a, b)
+
+    def test_forward_and_grads_equal_per_model_exactly(self, rng):
+        for _ in range(100):
+            models = self._pair(rng)
+            n, t_len = rng.integers(1, 9), rng.integers(1, 11)
+            x = rng.uniform(0, 1, size=(2, n, t_len, 3))
+            y = rng.uniform(0, 1, size=(2, n))
+            stack = stack_models(models)
+            y_stack = _forward_batch(stack, x)[0]
+            loss, grads = lstm_loss_and_grads(stack, x, y)
+            for c, model in enumerate(models):
+                y_c, loss_c, grads_c = _reference_loss_and_grads(model, x[c], y[c])
+                assert np.array_equal(y_stack[c], y_c)
+                assert np.array_equal(_forward_batch(model, x[c])[0], y_c)
+                assert loss[c] == loss_c
+                for name, g in grads_c.items():
+                    assert np.array_equal(grads[name][c], g), name
+                assert lstm_forward(stack, x[:, 0])[c] == lstm_forward(model, x[c, 0])
+
+    def test_padded_model_matches_to_rounding(self, rng):
+        # zero units change only how BLAS groups the sums
+        for _ in range(20):
+            models = self._pair(rng, hidden=(5, 3))
+            x = rng.uniform(0, 1, size=(2, 7, 10, 3))
+            y = rng.uniform(0, 1, size=(2, 7))
+            stack = stack_models(models)
+            loss, grads = lstm_loss_and_grads(stack, x, y)
+            for c, model in enumerate(models):
+                loss_c, grads_c = lstm_loss_and_grads(model, x[c], y[c])
+                assert loss[c] == pytest.approx(loss_c, rel=0, abs=1e-12)
+                back = unstack_model(_model_of(grads), c, model.hidden_size)
+                for (name, a), (_, b) in zip(back.param_items(), _model_of(grads_c).param_items()):
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_lockstep_training_equals_training_alone(self, rng):
+        x = rng.uniform(0, 1, size=(2, 45, 6, 3))
+        y = rng.uniform(0, 1, size=(2, 45))
+        models, losses = lstm_train(
+            (x, y), epochs=6, learning_rate=0.05,
+            rng=[np.random.default_rng(1), np.random.default_rng(2)], hidden_size=5, batch_size=8,
+        )
+        for c in range(2):
+            alone, losses_alone = lstm_train(
+                (x[c], y[c]), epochs=6, learning_rate=0.05, rng=np.random.default_rng(c + 1),
+                hidden_size=5, batch_size=8,
+            )
+            assert losses[c] == losses_alone
+            for (_, a), (_, b) in zip(models[c].param_items(), alone.param_items()):
+                assert np.array_equal(a, b)
+        # the pairs form trains the same model
+        pairs = list(zip(x[0], y[0]))
+        again, _ = lstm_train(pairs, epochs=6, learning_rate=0.05, rng=np.random.default_rng(1),
+                              hidden_size=5, batch_size=8)
+        for (_, a), (_, b) in zip(models[0].param_items(), again.param_items()):
+            assert np.array_equal(a, b)
+
+    def test_divergence_is_checked_per_model(self, rng):
+        good, bad = init_lstm(4, rng=rng), init_lstm(4, rng=rng)
+        bad.w_x[0, 0] = np.nan
+        x, y = np.ones((2, 4, 4, 3)), np.full((2, 4), 0.5)
+        with pytest.raises(RuntimeError, match="model 1"):
+            lstm_train((x, y), epochs=1, rng=[rng, rng], model=[good, bad])
+
+
+def _reference_loss_and_grads(model, x, targets):
+    """One model, one gate at a time: the arithmetic the stacked passes must reproduce."""
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    n, t_len, _ = x.shape
+    hd = model.hidden_size
+    h, c = np.zeros((n, hd)), np.zeros((n, hd))
+    caches = []
+    for t in range(t_len):
+        xt = x[:, t, :]
+        a = xt @ model.w_x.T + h @ model.w_h.T + model.b
+        f, i, o = (sigmoid(a[:, k * hd : (k + 1) * hd]) for k in range(3))
+        g = np.tanh(a[:, 3 * hd :])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        caches.append((xt, h, c, f, i, o, g, tc))
+        h, c = o * tc, c_new
+    y = h @ model.w_out + model.b_out
+    err = y - targets
+    grads = {
+        "w_x": np.zeros_like(model.w_x),
+        "w_h": np.zeros_like(model.w_h),
+        "b": np.zeros_like(model.b),
+        "w_out": h.T @ (2.0 * err / n),
+        "b_out": np.array([float(np.sum(2.0 * err / n))]),
+    }
+    dh = np.outer(2.0 * err / n, model.w_out)
+    dc = np.zeros((n, hd))
+    for xt, h_prev, c_prev, f, i, o, g, tc in reversed(caches):
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc**2)
+        da = np.concatenate(
+            [dc * c_prev * f * (1.0 - f), dc * g * i * (1.0 - i), do * o * (1.0 - o),
+             dc * i * (1.0 - g**2)],
+            axis=1,
+        )
+        grads["w_x"] += da.T @ xt
+        grads["w_h"] += da.T @ h_prev
+        grads["b"] += da.sum(axis=0)
+        dh = da @ model.w_h
+        dc = dc * f
+    return y, float(np.mean(err**2)), grads
+
+
+def _model_of(grads):
+    """Gradients laid out as a model, to compare them parameter by parameter."""
+    return LstmModel(grads["w_x"], grads["w_h"], grads["b"], grads["w_out"], grads["b_out"][..., 0])

@@ -51,8 +51,7 @@ class TestHistory:
     def test_normalized_window(self):
         hist = ObservationHistory(t_w=3)
         record_observation(hist, obs(0, u=(1, 1, 2), m=(0, 0, 0)))
-        win_u = hist.normalized_window("urllc")
-        win_m = hist.normalized_window("mmtc")
+        win_u, win_m = hist.normalized_window()
         assert win_u.tolist() == [[0.25, 0.25, 0.5]]
         assert win_m.tolist() == [[0.0, 0.0, 0.0]]  # zero-channel frame
 
@@ -140,6 +139,11 @@ class TestLstmPredictions:
             record_observation(h2, obs(t, u=(2, 4, 6), m=(10, 12, 14)))
         assert predict_backlog(pred, h1) == predict_backlog(pred, h2)
 
+    def test_one_copy_of_the_weights(self, rng):
+        pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
+        assert np.shares_memory(pred.model_u.w_x, pred.stack.w_x)
+        assert np.shares_memory(pred.model_m.w_h, pred.stack.w_h)
+
     def test_bounds_hold_for_many_random_inputs(self, rng):
         # batched check over 10^5 random windows: output always in [0, 1]
         model = init_lstm(6, rng=rng, scale=2.5)
@@ -160,9 +164,9 @@ class TestTrainingPairs:
         observations = [obs(t, u=(t, 0, 0), m=(0, 0, t)) for t in range(7)]
         bu = [10 * t for t in range(7)]
         bm = [100 * t for t in range(7)]
-        pairs_u, pairs_m = training_pairs(observations, bu, bm, t_w=3, population_u=100, population_m=1000)
-        assert len(pairs_u) == 4  # targets at t = 3..6
-        first_window, first_target = pairs_u[0]
+        x, y = training_pairs(observations, bu, bm, t_w=3, population_u=100, population_m=1000)
+        assert x.shape[1] == 4  # targets at t = 3..6
+        first_window, first_target = x[0, 0], y[0, 0]
         assert first_window.shape == (3, 3)
         assert first_target == pytest.approx(30 / 100)
         # window rows correspond to frames 0..2 (success fraction t/t = 1 for t>0)
@@ -191,6 +195,38 @@ class TestSerialization:
         assert predict_backlog(loaded, hist) == predict_backlog(pred, hist)
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
+
+    def test_smaller_model_is_padded_and_saved_unpadded(self, tmp_path, rng):
+        model_u, model_m = init_lstm(5, rng=rng), init_lstm(3, rng=rng)
+        pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=8)
+        assert pred.stack.w_h.shape == (2, 20, 5)
+        assert pred.model_m.hidden_size == 3
+        hist = ObservationHistory(8)
+        for t in range(8):
+            record_observation(hist, obs(t, u=(t % 3, 1, 2), m=(10, t, 34)))
+        window = hist.normalized_window()
+        raw_m = lstm_forward(pred.stack, window)[1]
+        assert raw_m == pytest.approx(lstm_forward(model_m, window[1]), rel=0, abs=1e-12)
+        path = tmp_path / "m.model"
+        save_predictor(pred, path)
+        assert "class m population 1000 hidden 3" in path.read_text()
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("rasim-lstm v1\n", 2),
+            ("rasim-lstm v1\nt_w 10\n", 3),
+            ("rasim-lstm v1\nt_w 10\nclass u population 25 hidden 2\narray w_x 8 3\n", 5),
+            ("rasim-lstm v1\nt_w 10\nclass u population 25 hidden 2\narray w_h 8 2\n", 4),
+            ("rasim-lstm v1\nt_w ten\n", 2),
+            ("rasim-lstm v1\nt_w 10\nclass x population 25 hidden 2\n", 3),
+        ],
+    )
+    def test_malformed_file_names_the_line(self, tmp_path, text, line):
+        bad = tmp_path / "bad.model"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"{bad}, line {line}:"):
+            load_predictor(bad)
 
     def test_rejects_wrong_version(self, tmp_path):
         bad = tmp_path / "bad.model"
