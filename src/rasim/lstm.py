@@ -227,17 +227,6 @@ def _clip_global_norm(grads: dict, max_norm: float):
     return grads
 
 
-def _training_arrays(dataset):
-    """(x, y) arrays of a dataset given as arrays or as (window, target) pairs."""
-    if isinstance(dataset, tuple) and all(isinstance(a, np.ndarray) for a in dataset):
-        return dataset
-    pairs = list(dataset)
-    if not pairs:
-        raise ValueError("training dataset is empty")
-    x = np.stack([np.asarray(w, dtype=float) for w, _ in pairs])
-    return x, np.asarray([t for _, t in pairs], dtype=float)
-
-
 def lstm_train(
     dataset,
     epochs: int,
@@ -248,32 +237,31 @@ def lstm_train(
     clip_norm: float = 1.0,
     model=None,
 ):
-    """Fit a model to (window, target) pairs; returns (model, epoch losses).
+    """Fit k models in lockstep, as one stack; returns (k models, k epoch-loss lists).
 
-    ``dataset`` is a list of (window, target) pairs, or a tuple of arrays
-    ``(x, y)`` with x of shape (n, t, input) and y (n,). A leading class axis,
-    x (k, n, t, input) and y (k, n), trains k models in lockstep as one stack:
-    ``rng`` and ``model`` are then sequences of k, and the result is a list
-    of k models and a list of k loss lists. Each model draws its init and
+    ``dataset`` is a tuple of arrays ``(x, y)`` with x of shape
+    (k, n, t, input) and y (k, n): model c fits windows x[c] to targets y[c].
+    ``rng`` and ``model`` are sequences of k. Each model draws its init and
     permutations from its own generator, is clipped by its own global norm and
     is checked for divergence on its own, so model c comes out exactly as if
-    trained alone on (x[c], y[c]) with rng[c].
+    trained alone (k = 1) on (x[c:c+1], y[c:c+1]) with rng[c].
 
-    Targets must already be normalized to [0, 1] and all windows must share
-    one length. Raises RuntimeError if a loss goes non-finite.
+    Targets must already be normalized to [0, 1]. Raises RuntimeError if a
+    loss goes non-finite.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    x, y = _training_arrays(dataset)
-    single = x.ndim == 3
-    if single:
-        x, y, rng, model = x[None], y[None], [rng], None if model is None else [model]
+    x, y = (np.asarray(a, dtype=float) for a in dataset)
+    if x.ndim != 4 or y.shape != x.shape[:2]:
+        raise ValueError(
+            f"dataset needs x of shape (k, n, t, input) and y (k, n), got {x.shape} and {y.shape}"
+        )
     k, n = y.shape
     if n == 0:
         raise ValueError("training dataset is empty")
     if y.min() < -1e-9 or y.max() > 1.0 + 1e-9:
         raise ValueError("targets must be normalized to [0, 1]")
-    rngs = [r or np.random.default_rng() for r in rng]
+    rngs = list(rng) if rng is not None else [np.random.default_rng() for _ in range(k)]
     if model is None:
         model = [init_lstm(hidden_size, x.shape[-1], r) for r in rngs]
     if len(rngs) != k or len(model) != k:
@@ -305,5 +293,4 @@ def lstm_train(
             epoch_loss += loss * idx.shape[1]
         losses.append(epoch_loss / n)
     trained = [unstack_model(stack, c, h) for c, h in enumerate(hidden)]
-    per_model = np.array(losses).T.tolist()
-    return (trained[0], per_model[0]) if single else (trained, per_model)
+    return trained, np.array(losses).T.tolist()

@@ -236,7 +236,7 @@ def predict_backlog(predictor: LstmPredictor, hist: ObservationHistory) -> Predi
 
 
 def training_pairs(observations, backlog_u, backlog_m, t_w, population_u, population_m):
-    """Turn one simulated trace of at least t_w frames into windows and targets.
+    """Turn one simulated trace of more than t_w frames into windows and targets.
 
     Returns x of shape (2, n, t_w, 3) and y of shape (2, n), URLLC first,
     with n = frames - t_w: window j holds the state fractions of frames
@@ -246,6 +246,8 @@ def training_pairs(observations, backlog_u, backlog_m, t_w, population_u, popula
     """
     if not (len(observations) == len(backlog_u) == len(backlog_m)):
         raise ValueError("trace columns must have equal length")
+    if not 0 < t_w < len(observations):
+        raise ValueError(f"a trace of {len(observations)} frames has no window of t_w={t_w}")
     fractions = state_fractions(observations)[:, :-1]
     x = sliding_window_view(fractions, t_w, axis=1).swapaxes(-1, -2)
     backlog = np.array([backlog_u[t_w:], backlog_m[t_w:]], dtype=float)

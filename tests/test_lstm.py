@@ -104,41 +104,55 @@ class TestGradients:
 
 class TestTraining:
     def test_fits_a_constant(self, rng):
-        data = [(rng.uniform(0, 1, size=(5, 3)), 0.37) for _ in range(48)]
+        x = np.stack([rng.uniform(0, 1, size=(5, 3)) for _ in range(48)])[None]
         start = init_lstm(4, 3, rng, scale=0.05)
-        model, losses = lstm_train(
-            data, epochs=600, learning_rate=0.2, rng=rng, batch_size=16, model=start
+        (model,), (losses,) = lstm_train(
+            (x, np.full((1, 48), 0.37)), epochs=600, learning_rate=0.2, rng=[rng],
+            batch_size=16, model=[start],
         )
-        preds = [lstm_forward(model, w) for w, _ in data]
+        preds = [lstm_forward(model, w) for w in x[0]]
         assert all(abs(p - 0.37) < 0.01 * 0.37 for p in preds)
         assert losses[-1] < losses[0]
 
     def test_overfits_single_sample(self, rng):
         window = rng.uniform(0, 1, size=(8, 3))
-        model, losses = lstm_train(
-            [(window, 0.62)], epochs=500, learning_rate=0.1, rng=rng, hidden_size=4
+        (model,), (losses,) = lstm_train(
+            (window[None, None], np.array([[0.62]])), epochs=500, learning_rate=0.1, rng=[rng],
+            hidden_size=4,
         )
         assert losses[-1] < 1e-4
 
     def test_empty_dataset_rejected(self, rng):
         with pytest.raises(ValueError):
-            lstm_train([], epochs=1, rng=rng)
+            lstm_train((np.zeros((1, 0, 4, 3)), np.zeros((1, 0))), epochs=1, rng=[rng])
 
     def test_unnormalized_targets_rejected(self, rng):
         with pytest.raises(ValueError):
-            lstm_train([(np.zeros((4, 3)), 3.0)], epochs=1, rng=rng)
+            lstm_train((np.zeros((1, 1, 4, 3)), np.array([[3.0]])), epochs=1, rng=[rng])
+
+    def test_dataset_without_class_axis_rejected(self, rng):
+        for x, y in (
+            (np.zeros((2, 4, 3)), np.zeros(2)),  # no class axis
+            (np.zeros((1, 2, 4, 3)), np.zeros((1, 3))),  # a target too many
+            (np.zeros((1, 2, 4, 3)), [0.5, 0.5]),  # targets without class axis
+        ):
+            with pytest.raises(ValueError, match=r"\(k, n, t, input\)"):
+                lstm_train((x, y), epochs=1, rng=[rng])
 
     def test_divergence_detection(self, rng):
         bad = init_lstm(4, rng=rng)
         bad.w_x[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="diverged"):
-            lstm_train([(np.ones((4, 3)), 0.5)], epochs=2, rng=rng, model=bad)
+            lstm_train(
+                (np.ones((1, 1, 4, 3)), np.array([[0.5]])), epochs=2, rng=[rng], model=[bad]
+            )
 
     def test_seeded_training_is_reproducible(self):
         data_rng = np.random.default_rng(3)
-        data = [(data_rng.uniform(0, 1, size=(5, 3)), float(t % 2) / 2) for t in range(32)]
-        m1, _ = lstm_train(data, epochs=20, rng=np.random.default_rng(11), hidden_size=5)
-        m2, _ = lstm_train(data, epochs=20, rng=np.random.default_rng(11), hidden_size=5)
+        x = np.stack([data_rng.uniform(0, 1, size=(5, 3)) for _ in range(32)])[None]
+        y = np.array([[float(t % 2) / 2 for t in range(32)]])
+        (m1,), _ = lstm_train((x, y), epochs=20, rng=[np.random.default_rng(11)], hidden_size=5)
+        (m2,), _ = lstm_train((x, y), epochs=20, rng=[np.random.default_rng(11)], hidden_size=5)
         for (_, a), (_, b) in zip(m1.param_items(), m2.param_items()):
             assert np.array_equal(a, b)
 
@@ -199,19 +213,13 @@ class TestStackedModels:
             rng=[np.random.default_rng(1), np.random.default_rng(2)], hidden_size=5, batch_size=8,
         )
         for c in range(2):
-            alone, losses_alone = lstm_train(
-                (x[c], y[c]), epochs=6, learning_rate=0.05, rng=np.random.default_rng(c + 1),
-                hidden_size=5, batch_size=8,
+            (alone,), (losses_alone,) = lstm_train(
+                (x[c : c + 1], y[c : c + 1]), epochs=6, learning_rate=0.05,
+                rng=[np.random.default_rng(c + 1)], hidden_size=5, batch_size=8,
             )
             assert losses[c] == losses_alone
             for (_, a), (_, b) in zip(models[c].param_items(), alone.param_items()):
                 assert np.array_equal(a, b)
-        # the pairs form trains the same model
-        pairs = list(zip(x[0], y[0]))
-        again, _ = lstm_train(pairs, epochs=6, learning_rate=0.05, rng=np.random.default_rng(1),
-                              hidden_size=5, batch_size=8)
-        for (_, a), (_, b) in zip(models[0].param_items(), again.param_items()):
-            assert np.array_equal(a, b)
 
     def test_divergence_is_checked_per_model(self, rng):
         good, bad = init_lstm(4, rng=rng), init_lstm(4, rng=rng)

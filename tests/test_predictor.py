@@ -176,6 +176,12 @@ class TestTrainingPairs:
         with pytest.raises(ValueError):
             training_pairs([obs(0)], [1, 2], [1], 3, 10, 10)
 
+    def test_trace_without_a_full_window_rejected(self):
+        for frames in (0, 2, 3):
+            trace = [obs(t) for t in range(frames)]
+            with pytest.raises(ValueError, match="t_w=3"):
+                training_pairs(trace, [1] * frames, [1] * frames, 3, 10, 10)
+
 
 class TestSerialization:
     def test_roundtrip_and_byte_stability(self, tmp_path, rng):
