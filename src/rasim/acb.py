@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 GRANT_FREE = "gf"
 STATIC = "static"
 OPT_INVERSE = "opt-inv"
@@ -30,9 +32,9 @@ class AcbPolicy:
 
     def __post_init__(self):
         if self.kind not in (GRANT_FREE, STATIC, OPT_INVERSE, OPT_LITERAL):
-            raise ValueError(f"unknown barring policy {self.kind!r}")
+            raise ConfigError(f"unknown barring policy {self.kind!r}")
         if self.kind == STATIC and not 0.0 <= self.p <= 1.0:
-            raise ValueError("static barring factor must lie in [0, 1]")
+            raise ConfigError("static barring factor must lie in [0, 1]")
 
     @property
     def label(self) -> str:
@@ -46,6 +48,17 @@ def parse_policy(text: str) -> AcbPolicy:
     return AcbPolicy(text)
 
 
+def collided_factors(policy: AcbPolicy, collided: np.ndarray) -> np.ndarray:
+    """Pass probability of each channel holding the given count (>= 2) of contenders."""
+    if policy.kind == GRANT_FREE:
+        return np.ones(collided.shape)
+    if policy.kind == STATIC:
+        return np.full(collided.shape, policy.p)
+    if policy.kind == OPT_INVERSE:
+        return 1.0 / collided
+    return 1.0 - 1.0 / collided  # opt-lit
+
+
 def acb_factors(policy: AcbPolicy, counts) -> np.ndarray:
     """Pass probability broadcast per channel, given its contender count.
 
@@ -55,15 +68,8 @@ def acb_factors(policy: AcbPolicy, counts) -> np.ndarray:
     if counts.size and counts.min() < 0:
         raise ValueError("contender count must be non-negative")
     factors = np.ones(counts.shape)
-    if policy.kind == GRANT_FREE:
-        return factors
     loaded = counts >= 2
-    if policy.kind == STATIC:
-        factors[loaded] = policy.p
-    elif policy.kind == OPT_INVERSE:
-        factors[loaded] = 1.0 / counts[loaded]
-    else:  # opt-lit
-        factors[loaded] = 1.0 - 1.0 / counts[loaded]
+    factors[loaded] = collided_factors(policy, counts[loaded])
     return factors
 
 
@@ -75,8 +81,11 @@ def acb_round(counts, factors, rng: np.random.Generator) -> np.ndarray:
     """
     counts, factors = np.asarray(counts), np.asarray(factors)
     barring = factors < 1.0
-    if not barring.any():
+    drawing = np.count_nonzero(barring)
+    if not drawing:
         return counts
+    if drawing == barring.size:  # the same draws as through the mask, without the copy
+        return rng.binomial(counts, factors)
     survivors = counts.copy()
     survivors[barring] = rng.binomial(counts[barring], factors[barring])
     return survivors

@@ -96,6 +96,8 @@ def cmd_train(args) -> int:
 def cmd_slice(args) -> int:
     cfg = load_config(args.config)
     cfg.validate()
+    if args.ku < 0 or args.km < 0:
+        raise ConfigError("--ku and --km must be non-negative")
     plan = maxrect_slice(cfg.grid, args.ku, args.km)
     for line in plan_dump_lines(plan):
         print(line)
@@ -123,9 +125,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2

@@ -14,12 +14,9 @@ import json
 
 from .acb import AcbPolicy, parse_policy
 from .engine import SimulationConfig
+from .errors import ConfigError
 from .slicing import GridConfig
 from .traffic import TrafficConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _build(section: str, cls, data: dict):

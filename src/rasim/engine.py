@@ -12,13 +12,16 @@ at selection time.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
-from .acb import AcbPolicy, acb_factors, acb_round
+from .acb import AcbPolicy, acb_round, collided_factors
+from .errors import ConfigError
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
     LstmPredictor,
@@ -40,6 +43,7 @@ from .traffic import (
     sample_mmtc_arrivals,
     sample_urllc_arrivals,
     update_backlog,
+    urllc_activation_profile,
 )
 
 
@@ -68,7 +72,7 @@ def parse_predictor(text: str) -> PredictorSpec:
         return PredictorSpec(kind, path)
     if kind in (PERFECT, NAIVE) and not sep:
         return PredictorSpec(kind)
-    raise ValueError(f"bad predictor {text!r}: expected perfect, naive or lstm:<model path>")
+    raise ConfigError(f"bad predictor {text!r}: expected perfect, naive or lstm:<model path>")
 
 
 def parse_slicer(text: str) -> SlicerSpec:
@@ -77,7 +81,7 @@ def parse_slicer(text: str) -> SlicerSpec:
     fields = arg.split(",") if arg else []
     arities = {MAXRECT: (0,), FIXED: (0, 1), COUNTS: (2,)}.get(kind, ())
     if len(fields) not in arities or not all(f.isdecimal() for f in fields):
-        raise ValueError(
+        raise ConfigError(
             f"bad slicer {text!r}: expected maxrect, fixed[:<l_u>] or counts:<l_u>,<l_m> "
             "with non-negative integer counts"
         )
@@ -101,13 +105,13 @@ class SimulationConfig:
         self.traffic.validate()
         self.grid.validate()
         if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+            raise ConfigError("frames must be >= 1")
         if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+            raise ConfigError("realizations must be >= 1")
         if self.t_w < 1:
-            raise ValueError("t_w must be >= 1")
+            raise ConfigError("t_w must be >= 1")
         if not 0.0 < self.steady_fraction <= 1.0:
-            raise ValueError("steady_fraction must lie in (0, 1]")
+            raise ConfigError("steady_fraction must lie in (0, 1]")
         parse_predictor(self.predictor)
         parse_slicer(self.slicer)
         return self
@@ -121,9 +125,6 @@ class FrameResult:
     served_m: int
     backlog: BacklogState        # the frame's own active counts
     plan_summary: tuple[int, int]
-    acb_counts: np.ndarray       # per channel, plan order (URLLC block first)
-    acb_pass: np.ndarray
-    acb_survivors: np.ndarray
     prediction: PredictionResult
 
     @property
@@ -135,18 +136,38 @@ class FrameResult:
         return self.backlog.active_m - self.served_m
 
 
-def contend_uniform(n_ues: int, n_channels: int, policy: AcbPolicy, rng: np.random.Generator):
-    """One mode's selection and barring round.
+@functools.cache
+def _uniform_pvals(n_channels: int) -> np.ndarray:
+    """Selection probabilities 1/n over n channels, built once per channel count."""
+    pvals = np.full(n_channels, 1.0 / n_channels)
+    pvals.flags.writeable = False
+    return pvals
 
-    Returns (selection counts, pass factors, survivor counts) per channel.
-    With zero channels everything is empty and all UEs fail this frame.
+
+def contend_uniform(
+    n_ues: int, n_channels: int, policy: AcbPolicy, rng: np.random.Generator
+) -> tuple[int, int]:
+    """One mode's selection and barring round: (served, collided) channel counts.
+
+    After barring, a channel with exactly one UE left is served, one with two
+    or more collided, and the other n_channels - served - collided are idle.
+    With zero channels everything is 0 and all UEs fail this frame.
     """
     if n_channels == 0:
-        z = np.zeros(0, dtype=int)
-        return z, np.zeros(0), z
-    counts = rng.multinomial(n_ues, np.full(n_channels, 1.0 / n_channels))
-    factors = acb_factors(policy, counts)
-    return counts, factors, acb_round(counts, factors, rng)
+        return 0, 0
+    counts = rng.multinomial(n_ues, _uniform_pvals(n_channels))
+    tally = counts.tolist()
+    served = tally.count(1)
+    collided = n_channels - served - tally.count(0)
+    if collided:
+        # idle and singleton channels pass with factor 1 and draw nothing, so
+        # the collided channels alone, in channel order, draw the same stream
+        loaded = counts[counts >= 2]
+        survivors = acb_round(loaded, collided_factors(policy, loaded), rng).tolist()
+        alone = survivors.count(1)
+        served += alone
+        collided -= alone + survivors.count(0)
+    return served, collided
 
 
 class SimulationState:
@@ -160,8 +181,10 @@ class SimulationState:
         self.failed_m = 0
         self.hist = ObservationHistory(cfg.t_w)
         self.frame = 0
+        self.profile = urllc_activation_profile(cfg.traffic)
         predictor = parse_predictor(cfg.predictor)
         self._predictor = predictor.kind
+        self.records = predictor.kind != PERFECT  # only naive and lstm read the history
         self._lstm = lstm
         if predictor.kind == LSTM:
             if lstm is None:
@@ -200,42 +223,29 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
     """Advance one frame: arrivals, prediction, slicing, contention, bookkeeping."""
     t = sim.frame
     arrivals_m = sample_mmtc_arrivals(cfg.traffic, t, rng)
-    arrivals_u = sample_urllc_arrivals(cfg.traffic, t, rng)
-    sim.backlog = update_backlog(
+    arrivals_u = sample_urllc_arrivals(cfg.traffic, t, rng, sim.profile)
+    backlog = sim.backlog = update_backlog(
         sim.backlog, arrivals_m, arrivals_u, sim.failed_m, sim.failed_u, cfg.traffic
     )
 
     pred = sim.predict()
     l_u, l_m = sim.plan_for(pred)
 
-    counts_u, pass_u, surv_u = contend_uniform(sim.backlog.active_u, l_u, cfg.acb, rng)
-    counts_m, pass_m, surv_m = contend_uniform(sim.backlog.active_m, l_m, cfg.acb, rng)
-
-    served_u = int(np.count_nonzero(surv_u == 1))
-    served_m = int(np.count_nonzero(surv_m == 1))
+    served_u, collided_u = contend_uniform(backlog.active_u, l_u, cfg.acb, rng)
+    served_m, collided_m = contend_uniform(backlog.active_m, l_m, cfg.acb, rng)
     obs = Observation(
         v_s_u=served_u,
-        v_c_u=int(np.count_nonzero(surv_u >= 2)),
-        v_i_u=int(np.count_nonzero(surv_u == 0)),
+        v_c_u=collided_u,
+        v_i_u=l_u - served_u - collided_u,
         v_s_m=served_m,
-        v_c_m=int(np.count_nonzero(surv_m >= 2)),
-        v_i_m=int(np.count_nonzero(surv_m == 0)),
+        v_c_m=collided_m,
+        v_i_m=l_m - served_m - collided_m,
         frame_index=t,
     )
-    record_observation(sim.hist, obs)
+    if sim.records:
+        record_observation(sim.hist, obs)
 
-    result = FrameResult(
-        frame_index=t,
-        observation=obs,
-        served_u=served_u,
-        served_m=served_m,
-        backlog=sim.backlog,
-        plan_summary=(l_u, l_m),
-        acb_counts=np.concatenate([counts_u, counts_m]),
-        acb_pass=np.concatenate([pass_u, pass_m]),
-        acb_survivors=np.concatenate([surv_u, surv_m]),
-        prediction=pred,
-    )
+    result = FrameResult(t, obs, served_u, served_m, backlog, (l_u, l_m), pred)
     sim.failed_u = result.failed_u
     sim.failed_m = result.failed_m
     sim.frame += 1
@@ -275,23 +285,24 @@ METRIC_COLUMNS = (
 
 
 def realization_metrics(cfg: SimulationConfig, index: int, lstm: LstmPredictor | None = None):
-    """Run realization `index` and reduce it to per-frame metric arrays."""
+    """Run realization `index` and reduce it to per-frame metric arrays, by name."""
     rng = np.random.default_rng(realization_seed(cfg.seed, index))
     frames = run_simulation(cfg, rng=rng, lstm=lstm)
-    out = {name: np.empty(len(frames)) for name in METRIC_COLUMNS}
+    table = np.empty((len(frames), len(METRIC_COLUMNS)))
     for i, fr in enumerate(frames):
-        l_u, l_m = fr.plan_summary
-        out["eta"][i] = normalized_throughput(fr)
-        out["cl_u"][i], out["cl_m"][i] = channel_loading(fr.backlog, fr.plan_summary)
-        out["served_u"][i] = fr.served_u
-        out["served_m"][i] = fr.served_m
-        out["backlog_u"][i] = fr.backlog.active_u
-        out["backlog_m"][i] = fr.backlog.active_m
-        out["l_u"][i] = l_u
-        out["l_m"][i] = l_m
-        out["collisions_u"][i] = fr.observation.v_c_u
-        out["collisions_m"][i] = fr.observation.v_c_m
-    return out
+        b, obs = fr.backlog, fr.observation
+        table[i] = (
+            normalized_throughput(fr),
+            *channel_loading(b, fr.plan_summary),
+            fr.served_u,
+            fr.served_m,
+            b.active_u,
+            b.active_m,
+            *fr.plan_summary,
+            obs.v_c_u,
+            obs.v_c_m,
+        )
+    return {name: table[:, j] for j, name in enumerate(METRIC_COLUMNS)}
 
 
 def nanmean_quiet(data, axis=None):
@@ -320,27 +331,55 @@ class MonteCarloResult:
         return float(nanmean_quiet(per_frame[start:]))
 
 
+@contextmanager
+def realization_pool(workers: int):
+    """A process pool of `workers` for realization tasks, or None for a serial run.
+
+    On an error in the block, tasks not yet started are cancelled rather than
+    run. concurrent.futures is imported only here, so serial runs never load it.
+    """
+    if workers <= 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def start_monte_carlo(cfg: SimulationConfig, lstm: LstmPredictor | None = None, pool=None):
+    """Submit cfg.realizations runs to pool; without a pool they run when collected.
+
+    Returns a function, to be called once, that collects the runs and merges
+    them, in index order, into a MonteCarloResult.
+    """
+    cfg.validate()
+    indices = range(cfg.realizations)
+    futures = None if pool is None else [
+        pool.submit(realization_metrics, cfg, i, lstm) for i in indices
+    ]
+
+    def finish() -> MonteCarloResult:
+        if futures is None:
+            results = [realization_metrics(cfg, i, lstm) for i in indices]
+        else:
+            results = [f.result() for f in futures]
+            futures.clear()  # free the results: a sweep keeps this function to its end
+        stacks = {name: np.stack([r[name] for r in results]) for name in METRIC_COLUMNS}
+        return MonteCarloResult(stacks, cfg)
+
+    return finish
+
+
 def run_monte_carlo(
     cfg: SimulationConfig,
     workers: int = 1,
     lstm: LstmPredictor | None = None,
 ) -> MonteCarloResult:
     """cfg.realizations independent runs, merged in index order."""
-    cfg.validate()
-    indices = range(cfg.realizations)
-    if workers > 1 and cfg.realizations > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_task, [(cfg, i, lstm) for i in indices]))
-    else:
-        results = [realization_metrics(cfg, i, lstm=lstm) for i in indices]
-    stacks = {
-        name: np.stack([r[name] for r in results]) for name in METRIC_COLUMNS
-    }
-    return MonteCarloResult(stacks, cfg)
-
-
-def _mc_task(args):
-    cfg, index, lstm = args
-    return realization_metrics(cfg, index, lstm=lstm)
+    with realization_pool(workers if cfg.realizations > 1 else 1) as pool:
+        return start_monte_carlo(cfg, lstm, pool)()

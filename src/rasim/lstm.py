@@ -128,14 +128,15 @@ def _sigmoid(x):
     return np.divide(1.0, out, out=out)
 
 
-def _forward_batch(model: LstmModel, x: np.ndarray):
+def _forward_batch(model: LstmModel, x: np.ndarray, caches: list | None = None):
     """Run the recurrence over a batch of windows x (..., n, t, input).
 
     Axes before the batch axis are class axes and pair with the model's.
-    Returns raw head outputs (..., n), the final (hidden, cell) state and the
-    per-step caches that BPTT needs: the cell state before the step, the
-    sigmoid of the forget|input|output block and the candidate. The hidden
-    state is left out; BPTT recomputes it with the forward pass's own ops.
+    Returns raw head outputs (..., n) and the final (hidden, cell) state.
+    Given a list, appends to it per step the caches that BPTT needs: the cell
+    state before the step, the sigmoid of the forget|input|output block and
+    the candidate. The hidden state is left out; BPTT recomputes it with the
+    forward pass's own ops. Without a list, no step's arrays outlive it.
     """
     if x.ndim < 3 or x.shape[-1] != model.input_size:
         raise ValueError(
@@ -147,18 +148,18 @@ def _forward_batch(model: LstmModel, x: np.ndarray):
     w_x_t = np.swapaxes(model.w_x, -1, -2)
     w_h_t = np.swapaxes(model.w_h, -1, -2)
     b = model.b[..., None, :]
-    caches = []
     for t in range(x.shape[-2]):
         a = x[..., t, :] @ w_x_t
         a += h @ w_h_t
         a += b
         s = _sigmoid(a[..., : 3 * hd])
         g = np.tanh(a[..., 3 * hd :])
-        caches.append((c, s, g))
+        if caches is not None:
+            caches.append((c, s, g))
         c = s[..., :hd] * c + s[..., hd : 2 * hd] * g
         h = s[..., 2 * hd :] * np.tanh(c)
     y = (h @ model.w_out[..., :, None])[..., 0] + np.asarray(model.b_out)[..., None]
-    return y, (h, c), caches
+    return y, (h, c)
 
 
 def lstm_forward(model: LstmModel, window: np.ndarray):
@@ -170,7 +171,7 @@ def lstm_forward(model: LstmModel, window: np.ndarray):
     window = np.asarray(window, dtype=float)
     if window.ndim != np.ndim(model.b_out) + 2 or window.shape[-2] < 1:
         raise ValueError("window must be a non-empty (t, input) array per model")
-    y, _, _ = _forward_batch(model, window[..., None, :, :])
+    y, _ = _forward_batch(model, window[..., None, :, :])
     y = np.clip(y[..., 0], 0.0, 1.0)
     return float(y) if y.ndim == 0 else y
 
@@ -181,7 +182,8 @@ def lstm_loss_and_grads(model: LstmModel, x: np.ndarray, targets: np.ndarray):
     With class axes, x is (..., n, t, input) and targets (..., n); the loss
     and every gradient then carry the class axes, entry c being model c's.
     """
-    y, (h_last, c_last), caches = _forward_batch(model, x)
+    caches = []
+    y, (h_last, c_last) = _forward_batch(model, x, caches)
     n = x.shape[-3]
     hd = model.hidden_size
     err = y - targets

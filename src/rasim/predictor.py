@@ -18,6 +18,7 @@ from operator import attrgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import ConfigError
 from .lstm import LstmModel, lstm_forward, stack_models, unstack_model
 from .traffic import BacklogState, TrafficConfig, expected_arrivals_per_frame
 
@@ -222,7 +223,7 @@ def check_predictor_matches(
         ("traffic.k_m", predictor.population_m, traffic.k_m),
     ):
         if have != want:
-            raise ValueError(f"{source}: model has {name} {have}, the config {want}")
+            raise ConfigError(f"{source}: model has {name} {have}, the config {want}")
 
 
 def predict_backlog(predictor: LstmPredictor, hist: ObservationHistory) -> PredictionResult:
@@ -284,7 +285,7 @@ def save_predictor(predictor: LstmPredictor, path):
 def load_predictor(path) -> LstmPredictor:
     """Read a file written by save_predictor.
 
-    A malformed or truncated file raises ValueError naming the file and the
+    A malformed or truncated file raises ConfigError naming the file and the
     line at fault.
     """
     with open(path) as fh:
@@ -343,5 +344,5 @@ def load_predictor(path) -> LstmPredictor:
             line += 1
             raise ValueError("file ends, expected one model per class (u and m)")
     except ValueError as exc:
-        raise ValueError(f"malformed model file {path}, line {line}: {exc}") from None
+        raise ConfigError(f"malformed model file {path}, line {line}: {exc}") from None
     return LstmPredictor(models["u"], models["m"], pops["u"], pops["m"], t_w)

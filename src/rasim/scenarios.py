@@ -22,8 +22,17 @@ from dataclasses import dataclass
 from . import __version__
 from .acb import parse_policy
 from .config import config_hash, config_to_dict
-from .engine import METRIC_COLUMNS, MonteCarloResult, SimulationConfig, run_monte_carlo
+from .engine import (
+    LSTM,
+    METRIC_COLUMNS,
+    MonteCarloResult,
+    SimulationConfig,
+    parse_predictor,
+    realization_pool,
+    start_monte_carlo,
+)
 from .metrics import mean_and_stderr
+from .predictor import check_predictor_matches, load_predictor
 
 
 @dataclass(frozen=True)
@@ -148,32 +157,58 @@ def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, flo
     return out
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir: str,
-    workers: int = 1,
-    lstm=None,
-) -> dict:
-    """Execute every sweep point, write CSVs, a summary table and a manifest."""
+def _point_models(points) -> list:
+    """The LSTM predictor of each point, None for other predictors.
+
+    Each model file is read once, and checked against every point that uses it.
+    """
+    loaded = {}
+    models = []
+    for point in points:
+        spec = parse_predictor(point.cfg.predictor)
+        model = None
+        if spec.kind == LSTM:
+            if spec.model_path not in loaded:
+                loaded[spec.model_path] = load_predictor(spec.model_path)
+            model = loaded[spec.model_path]
+            source = f"model file {spec.model_path}"
+            check_predictor_matches(model, point.cfg.t_w, point.cfg.traffic, source)
+        models.append(model)
+    return models
+
+
+def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
+    """Execute every sweep point, write CSVs, a summary table and a manifest.
+
+    With workers > 1 one process pool runs the realizations of all points.
+    Points are written in order, so a point that fails stops the sweep with
+    the earlier points written.
+    """
     os.makedirs(out_dir, exist_ok=True)
     summary_rows = []
     outputs = []
     point_meta = []
-    for point in scenario.points:
-        result = run_monte_carlo(point.cfg, workers=workers, lstm=lstm)
-        csv_name = f"{point.label}.csv"
-        write_point_csv(os.path.join(out_dir, csv_name), result)
-        outputs.append(csv_name)
-        stats = steady_point_summary(result)
-        summary_rows.append((point.label, stats))
-        point_meta.append(
-            {
-                "label": point.label,
-                "seed": point.cfg.seed,
-                "config_hash": config_hash(point.cfg),
-                "config": config_to_dict(point.cfg),
-            }
-        )
+    points = scenario.points
+    models = _point_models(points)
+    if sum(p.cfg.realizations for p in points) < 2:
+        workers = 1
+    with realization_pool(workers) as pool:
+        pending = [start_monte_carlo(p.cfg, m, pool) for p, m in zip(points, models)]
+        for point, finish in zip(points, pending):
+            result = finish()
+            csv_name = f"{point.label}.csv"
+            write_point_csv(os.path.join(out_dir, csv_name), result)
+            outputs.append(csv_name)
+            stats = steady_point_summary(result)
+            summary_rows.append((point.label, stats))
+            point_meta.append(
+                {
+                    "label": point.label,
+                    "seed": point.cfg.seed,
+                    "config_hash": config_hash(point.cfg),
+                    "config": config_to_dict(point.cfg),
+                }
+            )
 
     summary_name = "summary.csv"
     with open(os.path.join(out_dir, summary_name), "w", newline="") as fh:

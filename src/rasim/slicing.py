@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 URLLC = "urllc"
 MMTC = "mmtc"
 
@@ -47,16 +49,16 @@ class GridConfig:
 
     def validate(self):
         if min(self.f, self.s, self.nu) < 1:
-            raise ValueError("f, s and nu must be >= 1")
+            raise ConfigError("f, s and nu must be >= 1")
         for name, m in (("m_u", self.m_u), ("m_m", self.m_m)):
             if m < 2 or m & (m - 1):
-                raise ValueError(f"{name} must be a power of 2 and >= 2")
+                raise ConfigError(f"{name} must be a power of 2 and >= 2")
         if self.p_u <= 0 or self.p_m <= 0 or self.xi < 0:
-            raise ValueError("packet sizes must be positive and xi >= 0")
+            raise ConfigError("packet sizes must be positive and xi >= 0")
         if not (self.omega_u > self.omega_m >= self.omega_p >= 0):
-            raise ValueError("weights must satisfy omega_u > omega_m >= omega_p >= 0")
+            raise ConfigError("weights must satisfy omega_u > omega_m >= omega_p >= 0")
         if abs(self.omega_u + self.omega_m + self.omega_p - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+            raise ConfigError("weights must sum to 1")
         return self
 
 

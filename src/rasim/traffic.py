@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -30,15 +32,15 @@ class TrafficConfig:
 
     def validate(self):
         if self.k_m < 0 or self.k_u < 0:
-            raise ValueError("population sizes must be non-negative")
+            raise ConfigError("population sizes must be non-negative")
         if self.k_m_periodic < 0 or self.k_m_periodic > self.k_m:
-            raise ValueError("k_m_periodic must lie in [0, k_m]")
+            raise ConfigError("k_m_periodic must lie in [0, k_m]")
         if self.t_m < 1 or self.t_u < 1:
-            raise ValueError("periods t_m, t_u must be >= 1")
+            raise ConfigError("periods t_m, t_u must be >= 1")
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+            raise ConfigError("alpha and beta must be positive")
         if not 0.0 <= self.p_act <= 1.0:
-            raise ValueError("p_act must lie in [0, 1]")
+            raise ConfigError("p_act must lie in [0, 1]")
         return self
 
 
@@ -101,9 +103,25 @@ def sample_mmtc_arrivals(cfg: TrafficConfig, t: int, rng: np.random.Generator) -
     return n
 
 
-def sample_urllc_arrivals(cfg: TrafficConfig, t: int, rng: np.random.Generator) -> int:
-    """New URLLC packets in frame t, binomial with the periodic Beta profile."""
-    p = beta_activation_profile(cfg, t)
+def urllc_activation_profile(cfg: TrafficConfig) -> tuple[float, ...]:
+    """beta_activation_profile at each phase 0 .. t_u - 1 of the burst period."""
+    return tuple(beta_activation_profile(cfg, tau) for tau in range(cfg.t_u))
+
+
+def sample_urllc_arrivals(
+    cfg: TrafficConfig, t: int, rng: np.random.Generator, profile=None
+) -> int:
+    """New URLLC packets in frame t, binomial with the periodic Beta profile.
+
+    A caller that draws every frame passes ``profile``, the table of
+    urllc_activation_profile, so the profile is not evaluated each frame.
+    """
+    if profile is None:
+        p = beta_activation_profile(cfg, t)
+    elif t < 0:
+        raise ValueError("frame index must be non-negative")
+    else:
+        p = profile[t % cfg.t_u]
     return int(rng.binomial(cfg.k_u, p))
 
 
@@ -141,7 +159,7 @@ def update_backlog(
 
 def expected_arrivals_per_frame(cfg: TrafficConfig) -> tuple[float, float]:
     """Long-run mean arrivals per frame (URLLC, mMTC); used as a cold-start prior."""
-    mean_profile = sum(beta_activation_profile(cfg, t) for t in range(cfg.t_u)) / cfg.t_u
+    mean_profile = sum(urllc_activation_profile(cfg)) / cfg.t_u
     mean_u = cfg.k_u * mean_profile
     mean_m = (cfg.k_m - cfg.k_m_periodic) * cfg.p_act + cfg.k_m_periodic / cfg.t_m
     return mean_u, mean_m

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimulationConfig, run_simulation
+from .errors import ConfigError
 from .lstm import lstm_train
 from .metrics import predictor_mse, predictor_mse_raw
 from .predictor import (
@@ -74,9 +75,9 @@ def train_backlog_predictor(
     config yields byte-identical serialized models.
     """
     if samples < 1:
-        raise ValueError("need at least one training sample")
+        raise ConfigError("need at least one training sample")
     if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+        raise ConfigError("epochs must be >= 1")
     tc = cfg.traffic
     val_samples = val_samples or max(1, samples // 5)
 

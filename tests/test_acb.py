@@ -31,6 +31,19 @@ class TestFactor:
     def test_inverse_rule(self):
         assert acb_factors(AcbPolicy("opt-inv"), [4, 2, 1]) == pytest.approx([0.25, 0.5, 1.0])
 
+    @pytest.mark.parametrize("kind", ["gf", "static", "opt-inv", "opt-lit"])
+    def test_per_channel_factors_follow_the_rule(self, kind, rng):
+        policy = AcbPolicy(kind, 0.3) if kind == "static" else AcbPolicy(kind)
+        counts = rng.integers(0, 9, size=300)
+        factors = acb_factors(policy, counts)
+        assert factors.shape == counts.shape
+        loaded = counts >= 2
+        k = counts[loaded].astype(float)
+        rule = {"gf": np.ones_like(k), "static": np.full_like(k, 0.3),
+                "opt-inv": 1.0 / k, "opt-lit": 1.0 - 1.0 / k}[kind]
+        assert np.array_equal(factors[loaded], rule)
+        assert np.all(factors[~loaded] == 1.0)
+
     def test_grant_free_always_one(self):
         assert factor(AcbPolicy("gf"), 50) == 1.0
 

@@ -164,6 +164,70 @@ class TestModelFiles:
         assert "config error" in err and name in err and str(model_file) in err
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_model_file_read_once_per_sweep(
+        self, cfg_file, tmp_path, model_file, monkeypatch, workers
+    ):
+        # each call appends a line to a file, so calls in pool workers count too
+        import sys
+
+        from rasim import predictor
+
+        log = tmp_path / "loads.log"
+        orig = predictor.load_predictor
+
+        def counting(path):
+            with open(log, "a") as fh:
+                fh.write(f"{path}\n")
+            return orig(path)
+
+        for name, module in list(sys.modules.items()):
+            if name == "rasim" or name.startswith("rasim."):
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, counting)
+        cfg = cfg_file({"predictor": f"lstm:{model_file}", "slicer": "maxrect",
+                        "frames": 5, "realizations": 4})
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]
+        assert main(argv) == 0
+        assert log.read_text().splitlines() == [str(model_file)]
+
+
+class TestExitCodes:
+    """Exit 1 is for bad input only; any other failure is a runtime failure, exit 2."""
+
+    def test_invariant_failure_mid_run_exits_2(self, cfg_file, tmp_path, capsys, monkeypatch):
+        import rasim.engine
+
+        orig = rasim.engine.update_backlog
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise ValueError("failed counts exceed active counts")
+            return orig(*args)
+
+        monkeypatch.setattr(rasim.engine, "update_backlog", failing)
+        cfg = cfg_file({"slicer": "counts:3,15", "frames": 10})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "config error" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--frames", "0"],
+        ["simulate", "--realizations", "0"],
+        ["train", "--out", "{tmp}/m.txt", "--epochs", "0"],
+        ["slice", "--ku", "-1"],
+    ])
+    def test_bad_arguments_exit_1(self, cfg_file, tmp_path, capsys, argv):
+        cmd, *rest = (arg.replace("{tmp}", str(tmp_path)) for arg in argv)
+        if cmd == "simulate":
+            rest += ["--out", str(tmp_path / "out")]
+        assert main([cmd, "--config", cfg_file(""), *rest]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def _run(self, cfg_file, tmp_path, name, extra=()):
         out = tmp_path / name

@@ -52,9 +52,9 @@ class TestThroughput:
         pol = AcbPolicy("gf")
         etas = np.empty(trials)
         for i in range(trials):
-            _, _, su = contend_uniform(k_u, l_u, pol, rng)
-            _, _, sm = contend_uniform(k_m, l_m, pol, rng)
-            etas[i] = ((su == 1).sum() + (sm == 1).sum()) / (l_u + l_m)
+            su, _ = contend_uniform(k_u, l_u, pol, rng)
+            sm, _ = contend_uniform(k_m, l_m, pol, rng)
+            etas[i] = (su + sm) / (l_u + l_m)
         se = etas.std(ddof=1) / math.sqrt(trials)
         assert abs(etas.mean() - expected_eta) < 3 * se
 

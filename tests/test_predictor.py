@@ -148,7 +148,7 @@ class TestLstmPredictions:
         # batched check over 10^5 random windows: output always in [0, 1]
         model = init_lstm(6, rng=rng, scale=2.5)
         x = rng.uniform(0, 1, size=(100_000, 10, 3))
-        y, _, _ = _forward_batch(model, x)
+        y, _ = _forward_batch(model, x)
         y = np.clip(y, 0.0, 1.0)
         k = np.rint(y * 1000)
         assert k.min() >= 0 and k.max() <= 1000

@@ -13,6 +13,7 @@ from rasim.scenarios import (
     preset_fig3,
     preset_fig4,
     preset_fig5,
+    run_scenario,
     urllc_reservation_ramp,
 )
 
@@ -85,3 +86,27 @@ class TestRuntimeFailureExitCode:
         )
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+
+class TestSweepFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_stops_sweep_after_earlier_points(self, tmp_path, monkeypatch, workers):
+        # points are written in order, also when one pool runs them all
+        import rasim.engine
+
+        orig = rasim.engine.update_backlog
+
+        def failing(state, arrivals_m, arrivals_u, failed_m, failed_u, cfg):
+            if cfg.k_m == 300:
+                raise ValueError("injected invariant failure")
+            return orig(state, arrivals_m, arrivals_u, failed_m, failed_u, cfg)
+
+        monkeypatch.setattr(rasim.engine, "update_backlog", failing)
+        points = tuple(
+            ScenarioPoint(f"p{k}", make_config(
+                traffic__k_m=k, frames=5, realizations=2, slicer="counts:2,5"))
+            for k in (200, 300, 400)
+        )
+        with pytest.raises(ValueError, match="injected"):
+            run_scenario(Scenario("s", points), str(tmp_path / "out"), workers=workers)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["p200.csv"]

@@ -13,6 +13,7 @@ from rasim.traffic import (
     sample_mmtc_arrivals,
     sample_urllc_arrivals,
     update_backlog,
+    urllc_activation_profile,
 )
 
 
@@ -64,6 +65,17 @@ class TestArrivalSampling:
         mean = 990 * 0.01
         sigma = math.sqrt(990 * 0.01 * 0.99 / trials)
         assert abs(np.mean(draws) - mean) < 3 * sigma
+
+    def test_profile_table_draws_as_the_profile(self):
+        cfg = TrafficConfig(k_u=40, alpha=2.0, beta=5.0, t_u=7)
+        profile = urllc_activation_profile(cfg)
+        assert profile == tuple(beta_activation_profile(cfg, t) for t in range(7))
+        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+        for t in range(30):
+            assert sample_urllc_arrivals(cfg, t, r1, profile) == sample_urllc_arrivals(cfg, t, r2)
+        assert r1.bit_generator.state == r2.bit_generator.state
+        with pytest.raises(ValueError):
+            sample_urllc_arrivals(cfg, -1, r1, profile)
 
     def test_urllc_zero_phase(self, rng):
         cfg = TrafficConfig(k_u=25, alpha=3, beta=4, t_u=10)
