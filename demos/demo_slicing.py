@@ -10,7 +10,6 @@ moves between 31 and 41 as the URLLC share of a fixed demand grows.
 from rasim.slicing import (
     GridConfig,
     fixed_grid_slice,
-    max_mmtc_channels,
     maxrect_slice,
     render_plan_grid,
     validate_constraints,
@@ -34,7 +33,3 @@ print("Total channels as the URLLC share of a 41-channel demand varies:")
 row = [maxrect_slice(grid, ku, 41 - ku).l_total for ku in range(1, 41)]
 print("  " + " ".join(f"{t}" for t in row))
 print(f"  min {min(row)}, max {max(row)}")
-
-print("\nTraffic-side channel bound (spare RBs after URLLC, per mMTC packet):")
-for ku in (0, 25, 50):
-    print(f"  {ku:2d} URLLC packets -> at most {max_mmtc_channels(grid, ku)} mMTC channels")

@@ -9,7 +9,6 @@ unserved UEs pile up into the backlog when service is withheld.
 import numpy as np
 
 from rasim.traffic import (
-    BacklogState,
     TrafficConfig,
     beta_activation_profile,
     sample_mmtc_arrivals,
@@ -33,12 +32,13 @@ for t in range(10):
     print(f"  frame {t}: {a_m:3d} | {a_u:2d}{tag}")
 
 print("\nBacklog growth with zero service (every active UE fails each frame):")
-state = BacklogState()
+active_m = active_u = 0
 for t in range(25):
     a_m = sample_mmtc_arrivals(cfg, t, rng)
     a_u = sample_urllc_arrivals(cfg, t, rng)
-    state = update_backlog(state, a_m, a_u, state.active_m, state.active_u, cfg)
+    new_m, new_u = update_backlog(active_m, active_u, a_m, a_u, active_m, active_u, cfg)
+    active_m, active_u = new_m + active_m, new_u + active_u
     if t % 4 == 0:
-        print(f"  frame {t:2d}: active mMTC {state.active_m:4d}, active URLLC {state.active_u:2d}")
+        print(f"  frame {t:2d}: active mMTC {active_m:4d}, active URLLC {active_u:2d}")
 print(f"  ... the counts keep climbing toward the populations "
       f"({cfg.k_m} and {cfg.k_u}) and then saturate.")

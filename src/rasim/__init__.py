@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .acb import AcbPolicy, acb_factors, acb_round, parse_policy
+from .acb import AcbPolicy, acb_factors, collided_survivors, parse_policy
 from .engine import (
     FrameResult,
     MonteCarloResult,
@@ -29,16 +29,13 @@ from .slicing import (
     ChannelAssignment,
     GridConfig,
     SlicingPlan,
-    evaluate_objective,
     fixed_grid_slice,
-    max_mmtc_channels,
     maxrect_slice,
     numerology_symbols,
     packet_size_rbs,
     validate_constraints,
 )
 from .traffic import (
-    BacklogState,
     TrafficConfig,
     beta_activation_profile,
     sample_mmtc_arrivals,

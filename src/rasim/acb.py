@@ -35,10 +35,18 @@ class AcbPolicy:
             raise ConfigError(f"unknown barring policy {self.kind!r}")
         if self.kind == STATIC and not 0.0 <= self.p <= 1.0:
             raise ConfigError("static barring factor must lie in [0, 1]")
+        if self.kind != STATIC and self.p != 1.0:
+            raise ConfigError(f"barring policy {self.kind!r} takes no factor")
+
+    @property
+    def bars(self) -> bool:
+        """Whether a collided UE can be barred: every policy but grant-free and static 1."""
+        return not (self.kind == GRANT_FREE or (self.kind == STATIC and self.p == 1.0))
 
     @property
     def label(self) -> str:
-        return f"static:{self.p:g}" if self.kind == STATIC else self.kind
+        """The policy as parse_policy reads it; repr keeps every digit of p."""
+        return f"static:{float(self.p)!r}" if self.kind == STATIC else self.kind
 
 
 def parse_policy(text: str) -> AcbPolicy:
@@ -73,19 +81,16 @@ def acb_factors(policy: AcbPolicy, counts) -> np.ndarray:
     return factors
 
 
-def acb_round(counts, factors, rng: np.random.Generator) -> np.ndarray:
-    """Per channel, how many of its contenders pass their channel's factor.
+def collided_survivors(policy: AcbPolicy, loaded, rng: np.random.Generator):
+    """How many contenders of each collided channel pass the policy's factor.
 
-    Only channels with a factor below 1 draw, so a round without barring
-    consumes no randomness and returns ``counts`` itself.
+    ``loaded`` holds the contender count (>= 2) of each collided channel, in
+    channel order. Grant-free and a static factor of 1 bar nobody: they draw
+    nothing and return ``loaded`` itself. Every other policy draws one
+    binomial per channel, in channel order.
     """
-    counts, factors = np.asarray(counts), np.asarray(factors)
-    barring = factors < 1.0
-    drawing = np.count_nonzero(barring)
-    if not drawing:
-        return counts
-    if drawing == barring.size:  # the same draws as through the mask, without the copy
-        return rng.binomial(counts, factors)
-    survivors = counts.copy()
-    survivors[barring] = rng.binomial(counts[barring], factors[barring])
-    return survivors
+    if not policy.bars:
+        return loaded
+    if policy.kind == STATIC:
+        return rng.binomial(loaded, policy.p)
+    return rng.binomial(loaded, collided_factors(policy, loaded))

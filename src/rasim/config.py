@@ -2,8 +2,8 @@
 
 An empty file (or empty object) yields the stock parameter set: the 50x10
 grid, 14 symbols per RB, 32/200-byte packets with modulation 4/256, overhead
-5, weights (0.9, 0.05, 0.05), populations 1000/25 with 10 periodic devices,
-and 1200 frames. Unknown or invalid fields fail with the offending name.
+5, populations 1000/25 with 10 periodic devices, and 1200 frames. Unknown or
+invalid fields fail with the offending name.
 """
 
 from __future__ import annotations

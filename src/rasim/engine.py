@@ -20,14 +20,13 @@ from typing import NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
-from .acb import AcbPolicy, acb_round, collided_factors
+from .acb import AcbPolicy, collided_survivors
 from .errors import ConfigError
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
     LstmPredictor,
     Observation,
     ObservationHistory,
-    PredictionResult,
     check_predictor_matches,
     cold_start_prior,
     load_predictor,
@@ -38,7 +37,6 @@ from .predictor import (
 )
 from .slicing import GridConfig, fixed_grid_slice, mmtc_room, urllc_room
 from .traffic import (
-    BacklogState,
     TrafficConfig,
     sample_mmtc_arrivals,
     sample_urllc_arrivals,
@@ -117,23 +115,52 @@ class SimulationConfig:
         return self
 
 
-@dataclass(frozen=True)
-class FrameResult:
+class FrameResult(NamedTuple):
+    """One frame's counts, per mode: the backlog, the estimate, the slice and its outcome.
+
+    The frame's active UEs are its new arrivals plus its retries; after
+    barring, served channels carried one UE, collided ones two or more, and
+    the other channels of the slice ended idle.
+    """
+
     frame_index: int
-    observation: Observation
+    new_u: int
+    new_m: int
+    retry_u: int
+    retry_m: int
+    k_hat_u: int
+    k_hat_m: int
+    l_u: int
+    l_m: int
     served_u: int
     served_m: int
-    backlog: BacklogState        # the frame's own active counts
-    plan_summary: tuple[int, int]
-    prediction: PredictionResult
+    collided_u: int
+    collided_m: int
+
+    @property
+    def active_u(self) -> int:
+        return self.new_u + self.retry_u
+
+    @property
+    def active_m(self) -> int:
+        return self.new_m + self.retry_m
 
     @property
     def failed_u(self) -> int:
-        return self.backlog.active_u - self.served_u
+        return self.active_u - self.served_u
 
     @property
     def failed_m(self) -> int:
-        return self.backlog.active_m - self.served_m
+        return self.active_m - self.served_m
+
+    @property
+    def observation(self) -> Observation:
+        """What the base station saw: success, collision and idle channels per mode."""
+        return Observation(
+            self.served_u, self.collided_u, self.l_u - self.served_u - self.collided_u,
+            self.served_m, self.collided_m, self.l_m - self.served_m - self.collided_m,
+            frame_index=self.frame_index,
+        )
 
 
 @functools.cache
@@ -159,11 +186,8 @@ def contend_uniform(
     tally = counts.tolist()
     served = tally.count(1)
     collided = n_channels - served - tally.count(0)
-    if collided:
-        # idle and singleton channels pass with factor 1 and draw nothing, so
-        # the collided channels alone, in channel order, draw the same stream
-        loaded = counts[counts >= 2]
-        survivors = acb_round(loaded, collided_factors(policy, loaded), rng).tolist()
+    if collided and policy.bars:  # idle and singleton channels are never barred
+        survivors = collided_survivors(policy, counts[counts >= 2], rng).tolist()
         alone = survivors.count(1)
         served += alone
         collided -= alone + survivors.count(0)
@@ -176,9 +200,8 @@ class SimulationState:
     def __init__(self, cfg: SimulationConfig, lstm: LstmPredictor | None = None):
         cfg.validate()
         self.cfg = cfg
-        self.backlog = BacklogState(frame_index=-1)
-        self.failed_u = 0
-        self.failed_m = 0
+        self.active_u = self.active_m = 0  # the current frame's backlog
+        self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
         self.hist = ObservationHistory(cfg.t_w)
         self.frame = 0
         self.profile = urllc_activation_profile(cfg.traffic)
@@ -200,9 +223,10 @@ class SimulationState:
             self._counts = slicer.counts
         self._prior = cold_start_prior(cfg.traffic)
 
-    def predict(self) -> PredictionResult:
+    def predict(self) -> tuple[int, int]:
+        """(k_hat_u, k_hat_m), this frame's backlog estimate."""
         if self._predictor == PERFECT:
-            return perfect_predict(self.backlog)
+            return perfect_predict(self.active_u, self.active_m)
         if not len(self.hist):
             return self._prior  # cold start: long-run mean arrivals
         if self._predictor == NAIVE:
@@ -210,13 +234,14 @@ class SimulationState:
             return naive_predict(self.hist, traffic.k_u, traffic.k_m, self._prior)
         return predict_backlog(self._lstm, self.hist)
 
-    def plan_for(self, pred: PredictionResult) -> tuple[int, int]:
-        """Channel counts (l_u, l_m) of this frame's slice."""
+    def plan_for(self, pred: tuple[int, int]) -> tuple[int, int]:
+        """Channel counts (l_u, l_m) of this frame's slice, given (k_hat_u, k_hat_m)."""
         if self._counts is not None:
             return self._counts
         grid = self.cfg.grid
-        l_u = min(pred.k_hat_u, urllc_room(grid))
-        return l_u, min(pred.k_hat_m, mmtc_room(grid, l_u))
+        k_hat_u, k_hat_m = pred
+        l_u = min(k_hat_u, urllc_room(grid))
+        return l_u, min(k_hat_m, mmtc_room(grid, l_u))
 
 
 def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Generator) -> FrameResult:
@@ -224,30 +249,26 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
     t = sim.frame
     arrivals_m = sample_mmtc_arrivals(cfg.traffic, t, rng)
     arrivals_u = sample_urllc_arrivals(cfg.traffic, t, rng, sim.profile)
-    backlog = sim.backlog = update_backlog(
-        sim.backlog, arrivals_m, arrivals_u, sim.failed_m, sim.failed_u, cfg.traffic
+    retry_u, retry_m = sim.failed_u, sim.failed_m
+    new_m, new_u = update_backlog(
+        sim.active_m, sim.active_u, arrivals_m, arrivals_u, retry_m, retry_u, cfg.traffic
     )
+    active_u = sim.active_u = new_u + retry_u
+    active_m = sim.active_m = new_m + retry_m
 
     pred = sim.predict()
     l_u, l_m = sim.plan_for(pred)
 
-    served_u, collided_u = contend_uniform(backlog.active_u, l_u, cfg.acb, rng)
-    served_m, collided_m = contend_uniform(backlog.active_m, l_m, cfg.acb, rng)
-    obs = Observation(
-        v_s_u=served_u,
-        v_c_u=collided_u,
-        v_i_u=l_u - served_u - collided_u,
-        v_s_m=served_m,
-        v_c_m=collided_m,
-        v_i_m=l_m - served_m - collided_m,
-        frame_index=t,
+    served_u, collided_u = contend_uniform(active_u, l_u, cfg.acb, rng)
+    served_m, collided_m = contend_uniform(active_m, l_m, cfg.acb, rng)
+    result = FrameResult(
+        t, new_u, new_m, retry_u, retry_m, *pred,
+        l_u, l_m, served_u, served_m, collided_u, collided_m,
     )
     if sim.records:
-        record_observation(sim.hist, obs)
-
-    result = FrameResult(t, obs, served_u, served_m, backlog, (l_u, l_m), pred)
-    sim.failed_u = result.failed_u
-    sim.failed_m = result.failed_m
+        record_observation(sim.hist, result.observation)
+    sim.failed_u = active_u - served_u
+    sim.failed_m = active_m - served_m
     sim.frame += 1
     return result
 
@@ -287,22 +308,22 @@ METRIC_COLUMNS = (
 def realization_metrics(cfg: SimulationConfig, index: int, lstm: LstmPredictor | None = None):
     """Run realization `index` and reduce it to per-frame metric arrays, by name."""
     rng = np.random.default_rng(realization_seed(cfg.seed, index))
-    frames = run_simulation(cfg, rng=rng, lstm=lstm)
-    table = np.empty((len(frames), len(METRIC_COLUMNS)))
-    for i, fr in enumerate(frames):
-        b, obs = fr.backlog, fr.observation
-        table[i] = (
-            normalized_throughput(fr),
-            *channel_loading(b, fr.plan_summary),
-            fr.served_u,
-            fr.served_m,
-            b.active_u,
-            b.active_m,
-            *fr.plan_summary,
-            obs.v_c_u,
-            obs.v_c_m,
-        )
-    return {name: table[:, j] for j, name in enumerate(METRIC_COLUMNS)}
+    table = np.array(run_simulation(cfg, rng=rng, lstm=lstm), dtype=float)
+    fr = FrameResult(*table.T)  # each field a column over the frames
+    active_u, active_m = fr.active_u, fr.active_m
+    columns = (
+        normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m),
+        *channel_loading(active_u, active_m, fr.l_u, fr.l_m),
+        fr.served_u,
+        fr.served_m,
+        active_u,
+        active_m,
+        fr.l_u,
+        fr.l_m,
+        fr.collided_u,
+        fr.collided_m,
+    )
+    return dict(zip(METRIC_COLUMNS, columns))
 
 
 def nanmean_quiet(data, axis=None):

@@ -12,24 +12,25 @@ import math
 
 import numpy as np
 
-from .traffic import BacklogState
+
+def _ratio(num, den):
+    """num / den elementwise, as floats; NaN where den is 0."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, math.nan), where=den != 0)
 
 
-def normalized_throughput(result) -> float:
-    """Success channels over total channels for one frame; NaN when no channels."""
-    l_u, l_m = result.plan_summary
-    total = l_u + l_m
-    if total == 0:
-        return math.nan
-    return (result.served_u + result.served_m) / total
+def normalized_throughput(served_u, served_m, l_u, l_m):
+    """Success channels over total channels, per frame; NaN for a frame without channels.
+
+    Takes scalars or per-frame arrays of the counts.
+    """
+    return _ratio(np.add(served_u, served_m), np.add(l_u, l_m))
 
 
-def channel_loading(backlog: BacklogState, counts: tuple[int, int]) -> tuple[float, float]:
-    """Active users per channel of each mode, given (l_u, l_m); NaN for a mode without channels."""
-    l_u, l_m = counts
-    cl_u = backlog.active_u / l_u if l_u else math.nan
-    cl_m = backlog.active_m / l_m if l_m else math.nan
-    return cl_u, cl_m
+def channel_loading(active_u, active_m, l_u, l_m):
+    """Active users per channel of each mode, (cl_u, cl_m); NaN for a mode without channels."""
+    return _ratio(active_u, l_u), _ratio(active_m, l_m)
 
 
 def predictor_mse(predictions, truths, population: int) -> float:

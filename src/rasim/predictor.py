@@ -14,13 +14,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .lstm import LstmModel, lstm_forward, stack_models, unstack_model
-from .traffic import BacklogState, TrafficConfig, expected_arrivals_per_frame
+from .traffic import TrafficConfig, expected_arrivals_per_frame
 
 MODEL_FORMAT_VERSION = "rasim-lstm v1"
 
@@ -101,8 +102,7 @@ def record_observation(hist: ObservationHistory, obs: Observation) -> Observatio
     return hist
 
 
-@dataclass(frozen=True)
-class PredictionResult:
+class PredictionResult(NamedTuple):
     k_hat_u: int
     k_hat_m: int
 
@@ -121,9 +121,9 @@ def cold_start_prior(cfg: TrafficConfig) -> PredictionResult:
     )
 
 
-def perfect_predict(state: BacklogState) -> PredictionResult:
-    """Ground-truth backlog, for perfect-prediction experiments."""
-    return PredictionResult(state.active_u, state.active_m)
+def perfect_predict(active_u: int, active_m: int) -> tuple[int, int]:
+    """Ground-truth backlog, for perfect-prediction experiments: a plain pair."""
+    return active_u, active_m
 
 
 def invert_idle_fraction(idle_fraction: float, channels: int) -> float:

@@ -127,22 +127,21 @@ PRESETS = {"fig3": preset_fig3, "fig4": preset_fig4, "fig5": preset_fig5}
 
 
 def _fmt(value: float) -> str:
+    """A Python float as CSV text: integral values without a fraction, others by repr."""
     if value != value:  # NaN
         return "nan"
-    if value == int(value) and abs(value) < 1e15:
+    if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
-    return repr(float(value))
+    return repr(value)
 
 
 def write_point_csv(path: str, result: MonteCarloResult):
     """Per-frame means across realizations, one row per frame."""
-    means = {name: result.mean(name) for name in METRIC_COLUMNS}
-    frames = result.cfg.frames
+    columns = [map(_fmt, result.mean(name).tolist()) for name in METRIC_COLUMNS]
+    lines = ["frame," + ",".join(METRIC_COLUMNS)]
+    lines += [f"{t}," + ",".join(row) for t, row in enumerate(zip(*columns))]
     with open(path, "w", newline="") as fh:
-        fh.write("frame," + ",".join(METRIC_COLUMNS) + "\n")
-        for t in range(frames):
-            row = [str(t)] + [_fmt(means[name][t]) for name in METRIC_COLUMNS]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, float]]:

@@ -32,7 +32,7 @@ _MMTC_WIDTH_LADDER = ((1, 0), (2, 1), (4, 2), (8, 2))
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Grid geometry, packet formats and objective weights."""
+    """Grid geometry and packet formats."""
 
     f: int = 50             # frequency RBs per frame
     s: int = 10             # time slots per frame
@@ -42,10 +42,6 @@ class GridConfig:
     m_u: int = 4            # URLLC modulation order
     m_m: int = 256          # mMTC modulation order
     xi: int = 5             # protocol overhead, symbols
-    omega_u: float = 0.9    # objective weights: URLLC, mMTC, unmet-demand penalty
-    omega_m: float = 0.05
-    omega_p: float = 0.05
-    z_fractional: bool = False  # use fractional RB demand in the capacity bound
 
     def validate(self):
         if min(self.f, self.s, self.nu) < 1:
@@ -55,10 +51,6 @@ class GridConfig:
                 raise ConfigError(f"{name} must be a power of 2 and >= 2")
         if self.p_u <= 0 or self.p_m <= 0 or self.xi < 0:
             raise ConfigError("packet sizes must be positive and xi >= 0")
-        if not (self.omega_u > self.omega_m >= self.omega_p >= 0):
-            raise ConfigError("weights must satisfy omega_u > omega_m >= omega_p >= 0")
-        if abs(self.omega_u + self.omega_m + self.omega_p - 1.0) > 1e-9:
-            raise ConfigError("weights must sum to 1")
         return self
 
 
@@ -148,20 +140,6 @@ def _iota_rbs(cfg: GridConfig) -> tuple[int, int]:
     _, iota_u = packet_size_rbs(cfg.p_u, cfg.m_u, cfg.xi, cfg.nu)
     _, iota_m = packet_size_rbs(cfg.p_m, cfg.m_m, cfg.xi, cfg.nu)
     return iota_u, iota_m
-
-
-def max_mmtc_channels(cfg: GridConfig, k_u: int) -> int:
-    """Upper bound on mMTC channels once k_u URLLC packets are provisioned."""
-    if k_u < 0:
-        raise ValueError("k_u must be non-negative")
-    if cfg.z_fractional:
-        sym_u, _ = packet_size_rbs(cfg.p_u, cfg.m_u, cfg.xi, cfg.nu)
-        sym_m, _ = packet_size_rbs(cfg.p_m, cfg.m_m, cfg.xi, cfg.nu)
-        iota_u, iota_m = sym_u / cfg.nu, sym_m / cfg.nu
-    else:
-        iota_u, iota_m = _iota_rbs(cfg)
-    spare = cfg.f * cfg.s - iota_u * k_u
-    return max(0, math.floor(spare / iota_m))
 
 
 class FreeRectSet:
@@ -362,17 +340,6 @@ def validate_constraints(plan: SlicingPlan, cfg: GridConfig) -> list[Violation]:
                     Violation("overlap", (chans[i].id, chans[j].id), "rectangles intersect")
                 )
     return out
-
-
-def evaluate_objective(plan: SlicingPlan, cfg: GridConfig, backlog_total: int, k_u: int) -> float:
-    """Weighted channel score minus the unmet-demand penalty.
-
-    score = omega_u * L_u + omega_m * L_m
-            - omega_p * max(0, backlog - min(L, capacity bound))
-    """
-    z = max_mmtc_channels(cfg, k_u)
-    unmet = max(0, backlog_total - min(plan.l_total, z))
-    return cfg.omega_u * plan.l_u + cfg.omega_m * plan.l_m - cfg.omega_p * unmet
 
 
 _ID_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -37,30 +37,11 @@ class TrafficConfig:
             raise ConfigError("k_m_periodic must lie in [0, k_m]")
         if self.t_m < 1 or self.t_u < 1:
             raise ConfigError("periods t_m, t_u must be >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ConfigError("alpha and beta must be positive and finite")
         if not 0.0 <= self.p_act <= 1.0:
             raise ConfigError("p_act must lie in [0, 1]")
         return self
-
-
-@dataclass(frozen=True)
-class BacklogState:
-    """Active-UE accounting for one frame, split into new arrivals and retries."""
-
-    new_m: int = 0
-    new_u: int = 0
-    retry_m: int = 0
-    retry_u: int = 0
-    frame_index: int = -1
-
-    @property
-    def active_m(self) -> int:
-        return self.new_m + self.retry_m
-
-    @property
-    def active_u(self) -> int:
-        return self.new_u + self.retry_u
 
 
 def beta_activation_profile(cfg: TrafficConfig, t: int) -> float:
@@ -126,35 +107,29 @@ def sample_urllc_arrivals(
 
 
 def update_backlog(
-    state: BacklogState,
+    active_m: int,
+    active_u: int,
     arrivals_m: int,
     arrivals_u: int,
     failed_m: int,
     failed_u: int,
     cfg: TrafficConfig,
-) -> BacklogState:
-    """Advance the backlog by one frame.
+) -> tuple[int, int]:
+    """New arrivals (new_m, new_u) admitted next frame, after this frame's failures.
 
-    UEs that failed this frame retry in the next one (zero barring time).
-    A backlogged UE does not queue a second packet, so effective new arrivals
+    UEs that failed this frame retry in the next one (zero barring time), so
+    next frame's active count is the new arrivals plus the failed count. A
+    backlogged UE does not queue a second packet, so effective new arrivals
     are capped at the population headroom beyond the retrying UEs.
     """
     if failed_m < 0 or failed_u < 0 or arrivals_m < 0 or arrivals_u < 0:
         raise ValueError("counts must be non-negative")
-    if failed_m > state.active_m or failed_u > state.active_u:
+    if failed_m > active_m or failed_u > active_u:
         raise ValueError(
             f"failed counts ({failed_m}, {failed_u}) exceed active counts "
-            f"({state.active_m}, {state.active_u})"
+            f"({active_m}, {active_u})"
         )
-    new_m = min(arrivals_m, cfg.k_m - failed_m)
-    new_u = min(arrivals_u, cfg.k_u - failed_u)
-    return BacklogState(
-        new_m=new_m,
-        new_u=new_u,
-        retry_m=failed_m,
-        retry_u=failed_u,
-        frame_index=state.frame_index + 1,
-    )
+    return min(arrivals_m, cfg.k_m - failed_m), min(arrivals_u, cfg.k_u - failed_u)
 
 
 def expected_arrivals_per_frame(cfg: TrafficConfig) -> tuple[float, float]:

@@ -40,8 +40,8 @@ def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
     )
     results = run_simulation(trace_cfg)
     observations = [fr.observation for fr in results]
-    backlog_u = [fr.backlog.active_u for fr in results]
-    backlog_m = [fr.backlog.active_m for fr in results]
+    backlog_u = [fr.active_u for fr in results]
+    backlog_m = [fr.active_m for fr in results]
     return observations, backlog_u, backlog_m
 
 

@@ -7,7 +7,7 @@ from scipy import stats
 from rasim.acb import (
     AcbPolicy,
     acb_factors,
-    acb_round,
+    collided_survivors,
     parse_policy,
 )
 
@@ -53,6 +53,9 @@ class TestFactor:
 
     def test_parse(self):
         assert parse_policy("static:0.4") == AcbPolicy("static", 0.4)
+        assert AcbPolicy("static", 0.4).label == "static:0.4"
+        with pytest.raises(ValueError, match="takes no factor"):
+            AcbPolicy("opt-inv", 0.5)
         assert parse_policy("opt-inv").kind == "opt-inv"
         with pytest.raises(ValueError):
             parse_policy("bogus")
@@ -62,17 +65,22 @@ class TestFactor:
 
 class TestRound:
     def test_degenerate_probabilities(self, rng):
-        assert acb_round([5, 5, 0], [1.0, 0.0, 0.3], rng).tolist() == [5, 0, 0]
+        loaded = np.array([5, 5, 2])
+        assert collided_survivors(AcbPolicy("static", 1.0), loaded, rng).tolist() == [5, 5, 2]
+        assert collided_survivors(AcbPolicy("static", 0.0), loaded, rng).tolist() == [0, 0, 0]
 
     def test_pass_one_consumes_no_randomness(self, rng):
         state = rng.bit_generator.state
-        assert acb_round([7, 0, 1], [1.0, 1.0, 1.0], rng).tolist() == [7, 0, 1]
+        loaded = np.array([7, 2, 3])
+        for policy in (AcbPolicy("gf"), AcbPolicy("static", 1.0)):
+            assert collided_survivors(policy, loaded, rng) is loaded
+            assert loaded.tolist() == [7, 2, 3]
         assert rng.bit_generator.state == state
 
     def test_single_survivor_frequency(self, rng):
         # binomial pmf oracle: P(exactly 1 of 10 at p=0.1) = 10 * 0.1 * 0.9^9
         trials = 100_000
-        draws = acb_round(np.full(trials, 10), np.full(trials, 0.1), rng)
+        draws = collided_survivors(AcbPolicy("static", 0.1), np.full(trials, 10), rng)
         hits = np.count_nonzero(draws == 1)
         p = stats.binom.pmf(1, 10, 0.1)
         assert p == pytest.approx(10 * 0.1 * 0.9**9)
@@ -81,10 +89,20 @@ class TestRound:
 
     def test_survivors_bounded_and_mean(self, rng):
         for n, p in [(4, 0.3), (12, 0.8), (30, 0.05)]:
-            draws = acb_round(np.full(4000, n), np.full(4000, p), rng)
+            draws = collided_survivors(AcbPolicy("static", p), np.full(4000, n), rng)
             assert draws.max() <= n and draws.min() >= 0
             se = math.sqrt(n * p * (1 - p) / 4000)
             assert abs(draws.mean() - n * p) < 3 * se
+
+    @pytest.mark.parametrize("kind", ["static", "opt-inv", "opt-lit"])
+    def test_one_draw_per_channel_at_its_factor(self, kind):
+        # the same stream as drawing each channel at its acb_factors factor
+        policy = AcbPolicy(kind, 0.4) if kind == "static" else AcbPolicy(kind)
+        loaded = np.random.default_rng(1).integers(2, 40, size=60)
+        r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
+        survivors = collided_survivors(policy, loaded, r1)
+        assert survivors.tolist() == r2.binomial(loaded, acb_factors(policy, loaded)).tolist()
+        assert r1.bit_generator.state == r2.bit_generator.state
 
 
 class TestSingleSurvivorOptimality:

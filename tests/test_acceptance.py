@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import enumerate_success_distribution, exhaustive_pack_count, make_config
 
-from rasim.acb import AcbPolicy, acb_factors, acb_round, parse_policy
+from rasim.acb import AcbPolicy, collided_survivors, parse_policy
 from rasim.engine import (
     SimulationConfig,
     contend_uniform,
@@ -93,12 +93,12 @@ def test_c05_acb_microbench():
     for n in range(2, 11):
         p_one = n * (1 / n) * (1 - 1 / n) ** (n - 1)
         counts = np.full(trials, n)
-        inv, lit = (acb_factors(AcbPolicy(kind), counts) for kind in ("opt-inv", "opt-lit"))
-        hits_inv = np.count_nonzero(acb_round(counts, inv, rng) == 1)
+        inv, lit = AcbPolicy("opt-inv"), AcbPolicy("opt-lit")
+        hits_inv = np.count_nonzero(collided_survivors(inv, counts, rng) == 1)
         se = math.sqrt(p_one * (1 - p_one) / trials)
         assert abs(hits_inv / trials - p_one) < 3 * se, n
         if n >= 3:
-            hits_lit = np.count_nonzero(acb_round(counts, lit, rng) == 1)
+            hits_lit = np.count_nonzero(collided_survivors(lit, counts, rng) == 1)
             assert hits_inv > hits_lit, n
     _report(
         "C5 ACB microbench",
@@ -217,26 +217,28 @@ def test_c09_conservation_suite():
         prev_active_m = 0
         for fr in results:
             o = fr.observation
-            assert o.v_s_u + o.v_c_u + o.v_i_u == fr.plan_summary[0]
-            assert o.v_s_m + o.v_c_m + o.v_i_m == fr.plan_summary[1]
-            assert fr.backlog.active_u == fr.backlog.new_u + fr.backlog.retry_u
-            assert fr.backlog.active_m == fr.backlog.new_m + fr.backlog.retry_m
-            assert fr.backlog.active_u <= cfg.traffic.k_u
-            assert fr.backlog.active_m <= cfg.traffic.k_m
-            assert 0 <= fr.served_u <= fr.backlog.active_u
-            assert 0 <= fr.served_m <= fr.backlog.active_m
+            assert o.v_s_u + o.v_c_u + o.v_i_u == fr.l_u
+            assert o.v_s_m + o.v_c_m + o.v_i_m == fr.l_m
+            assert min(o.v_s_u, o.v_c_u, o.v_i_u, o.v_s_m, o.v_c_m, o.v_i_m) >= 0
+            assert fr.active_u == fr.new_u + fr.retry_u
+            assert fr.active_m == fr.new_m + fr.retry_m
+            assert fr.active_u <= cfg.traffic.k_u
+            assert fr.active_m <= cfg.traffic.k_m
+            assert 0 <= fr.served_u <= fr.active_u
+            assert 0 <= fr.served_m <= fr.active_m
             if prev is not None:
-                assert fr.backlog.retry_u == prev.failed_u
-                assert fr.backlog.retry_m == prev.failed_m
+                assert fr.frame_index == prev.frame_index + 1
+                assert fr.retry_u == prev.failed_u
+                assert fr.retry_m == prev.failed_m
             if overload:
                 # service capacity is one channel: backlog may never shrink by
                 # more than the single served packet, and grows to saturation
-                assert fr.backlog.active_m >= min(prev_active_m - 1, cfg.traffic.k_m - 1)
-                prev_active_m = fr.backlog.active_m
+                assert fr.active_m >= min(prev_active_m - 1, cfg.traffic.k_m - 1)
+                prev_active_m = fr.active_m
             prev = fr
             checked_frames += 1
         if overload:
-            assert results[-1].backlog.active_m >= 0.9 * cfg.traffic.k_m
+            assert results[-1].active_m >= 0.9 * cfg.traffic.k_m
     assert checked_frames == 100_000
     _report("C9 conservation suite", f"{checked_frames} frames across 1000 configs")
 

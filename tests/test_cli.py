@@ -25,7 +25,6 @@ class TestConfigLoading:
         assert cfg.grid.f == 50 and cfg.grid.s == 10 and cfg.grid.nu == 14
         assert cfg.grid.p_u == 32 and cfg.grid.p_m == 200
         assert cfg.grid.m_u == 4 and cfg.grid.m_m == 256 and cfg.grid.xi == 5
-        assert (cfg.grid.omega_u, cfg.grid.omega_m, cfg.grid.omega_p) == (0.9, 0.05, 0.05)
         assert cfg.traffic.k_m == 1000 and cfg.traffic.k_u == 25
         assert cfg.traffic.k_m_periodic == 10
         assert cfg.frames == 1200
@@ -37,10 +36,15 @@ class TestConfigLoading:
         assert cfg.traffic.k_m == 500 and cfg.grid.f == 32
         assert cfg.acb.kind == "opt-inv" and cfg.seed == 5
 
-    def test_bad_weights_named(self, cfg_file):
-        path = cfg_file({"grid": {"omega_u": 0.5, "omega_m": 0.5, "omega_p": 0.5}})
-        with pytest.raises(ConfigError, match="grid"):
-            load_config(path)
+
+    def test_bad_weights_named(self, cfg_file, capsys):
+        # the slicing objective is gone: its weights and flag are unknown fields
+        for field in ("omega_u", "omega_m", "omega_p", "z_fractional"):
+            path = cfg_file({"grid": {field: 0.5}})
+            with pytest.raises(ConfigError, match=f"grid: unknown field.*{field}"):
+                load_config(path)
+            assert main(["validate", "--config", path]) == 1
+            assert field in capsys.readouterr().err
 
     def test_zero_frames_named(self, cfg_file):
         with pytest.raises(ConfigError, match="frames"):

@@ -1,0 +1,117 @@
+"""Property tests of the config round trip through its manifest form.
+
+A manifest records each point's config as ``config_to_dict`` and its
+``config_hash``. Reading the recorded dict back must give the same config,
+and two configs may share a hash only if they are equal.
+"""
+
+import json
+import math
+
+import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rasim.acb import AcbPolicy
+from rasim.config import ConfigError, config_from_dict, config_hash, config_to_dict
+from rasim.engine import SimulationConfig
+from rasim.slicing import GridConfig
+from rasim.traffic import TrafficConfig
+
+unit = st.floats(0.0, 1.0)
+positive = st.floats(0.0, 1e6, exclude_min=True)
+counts = st.integers(0, 10**6)
+powers_of_two = st.sampled_from([2**k for k in range(1, 11)])
+
+
+@st.composite
+def traffic_configs(draw):
+    k_m = draw(counts)
+    return TrafficConfig(
+        k_m=k_m,
+        k_u=draw(counts),
+        p_act=draw(unit),
+        k_m_periodic=draw(st.integers(0, k_m)),
+        t_m=draw(st.integers(1, 1000)),
+        t_u=draw(st.integers(1, 1000)),
+        alpha=draw(positive),
+        beta=draw(positive),
+    )
+
+
+grid_configs = st.builds(
+    GridConfig,
+    f=st.integers(1, 500),
+    s=st.integers(1, 100),
+    nu=st.integers(1, 100),
+    p_u=st.integers(1, 10**4),
+    p_m=st.integers(1, 10**4),
+    m_u=powers_of_two,
+    m_m=powers_of_two,
+    xi=st.integers(0, 100),
+)
+
+policies = st.one_of(
+    st.sampled_from([AcbPolicy("gf"), AcbPolicy("opt-inv"), AcbPolicy("opt-lit")]),
+    unit.map(lambda p: AcbPolicy("static", p)),
+)
+
+predictors = st.one_of(
+    st.sampled_from(["perfect", "naive"]),
+    st.text(min_size=1).map(lambda path: f"lstm:{path}"),
+)
+
+slicers = st.one_of(
+    st.sampled_from(["maxrect", "fixed"]),
+    counts.map(lambda l_u: f"fixed:{l_u}"),
+    st.tuples(counts, counts).map(lambda c: f"counts:{c[0]},{c[1]}"),
+)
+
+configs = st.builds(
+    SimulationConfig,
+    traffic=traffic_configs(),
+    grid=grid_configs,
+    acb=policies,
+    predictor=predictors,
+    slicer=slicers,
+    frames=st.integers(1, 10**6),
+    realizations=st.integers(1, 10**4),
+    seed=st.integers(0, 2**63),
+    t_w=st.integers(1, 1000),
+    steady_fraction=st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@given(cfg=configs)
+@settings(max_examples=200, deadline=None)
+def test_manifest_form_reads_back_as_the_same_config(cfg):
+    recorded = config_to_dict(cfg)
+    assert config_from_dict(recorded) == cfg
+    # as written to and read from manifest.json
+    assert config_from_dict(json.loads(json.dumps(recorded))) == cfg
+    assert config_hash(config_from_dict(recorded)) == config_hash(cfg)
+
+
+@given(a=configs, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hash_equal_only_for_equal_configs(a, data):
+    b = data.draw(st.one_of(st.just(a), configs))
+    assert (config_hash(a) == config_hash(b)) == (a == b)
+
+
+@given(p=st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_static_factors_one_step_apart_hash_apart(p):
+    a = SimulationConfig(acb=AcbPolicy("static", p))
+    b = SimulationConfig(acb=AcbPolicy("static", math.nextafter(p, 1.0)))
+    assert config_hash(a) != config_hash(b)
+    assert config_from_dict(config_to_dict(b)) == b
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_non_finite_burst_shape_rejected(field, value):
+    # NaN compares false with 0, so a "<= 0" check alone would let it through
+    with pytest.raises(ConfigError, match="alpha and beta"):
+        config_from_dict({"traffic": {field: value}})

@@ -9,7 +9,7 @@ from conftest import enumerate_success_distribution, make_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rasim.acb import AcbPolicy, acb_factors, acb_round
+from rasim.acb import AcbPolicy, acb_factors
 from rasim.engine import (
     SimulationConfig,
     SimulationState,
@@ -64,13 +64,17 @@ class TestContention:
 
     @pytest.mark.parametrize("kind", ["static", "opt-inv", "opt-lit"])
     def test_barring_draws_collided_channels_in_order(self, kind):
-        # the same stream as barring every channel by its acb_factors factor
+        # the same stream as barring every channel by its acb_factors factor:
+        # each channel whose factor is below 1 draws, in channel order
         policy = AcbPolicy(kind, 0.4) if kind == "static" else AcbPolicy(kind)
         for seed in range(50):
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
             served, collided = contend_uniform(40, 9, policy, r1)
             counts = r2.multinomial(40, np.full(9, 1 / 9))
-            survivors = acb_round(counts, acb_factors(policy, counts), r2)
+            factors = acb_factors(policy, counts)
+            barred = factors < 1.0
+            survivors = counts.copy()
+            survivors[barred] = r2.binomial(counts[barred], factors[barred])
             assert np.all(survivors <= counts)
             assert served == np.count_nonzero(survivors == 1)
             assert collided == np.count_nonzero(survivors >= 2)
@@ -149,20 +153,24 @@ class TestFrames:
         cfg = make_config(frames=40, slicer="counts:3,20")
         for fr in run_simulation(cfg):
             o = fr.observation
-            assert o.v_s_u + o.v_c_u + o.v_i_u == fr.plan_summary[0]
-            assert o.v_s_m + o.v_c_m + o.v_i_m == fr.plan_summary[1]
+            assert (o.l_u, o.l_m) == (fr.l_u, fr.l_m) == (3, 20)
+            assert min(o.v_s_u, o.v_c_u, o.v_i_u, o.v_s_m, o.v_c_m, o.v_i_m) >= 0
+            assert (o.v_s_u, o.v_c_u, o.v_s_m, o.v_c_m) == (
+                fr.served_u, fr.collided_u, fr.served_m, fr.collided_m
+            )
 
     def test_conservation_per_frame(self):
         cfg = make_config(frames=60, slicer="maxrect", predictor="perfect", seed=9)
         results = run_simulation(cfg)
         for prev, cur in zip(results, results[1:]):
             # UEs that failed in the previous frame all retry now
-            assert cur.backlog.retry_u == prev.failed_u
-            assert cur.backlog.retry_m == prev.failed_m
-            assert cur.backlog.active_u == cur.backlog.new_u + cur.backlog.retry_u
+            assert cur.frame_index == prev.frame_index + 1
+            assert cur.retry_u == prev.failed_u
+            assert cur.retry_m == prev.failed_m
+            assert cur.active_u == cur.new_u + cur.retry_u
         for fr in results:
-            assert 0 <= fr.served_u <= fr.backlog.active_u
-            assert 0 <= fr.served_m <= fr.backlog.active_m
+            assert 0 <= fr.served_u <= fr.active_u
+            assert 0 <= fr.served_m <= fr.active_m
 
     def test_mode_without_channels_is_backlogged_not_fatal(self):
         cfg = make_config(
@@ -171,7 +179,7 @@ class TestFrames:
         )
         results = run_simulation(cfg)
         assert all(fr.served_u == 0 for fr in results)
-        assert any(fr.backlog.active_u > 0 for fr in results)
+        assert any(fr.active_u > 0 for fr in results)
         # URLLC keeps accumulating while mMTC is still being served
         assert any(fr.served_m > 0 for fr in results)
 
@@ -182,9 +190,9 @@ class TestFrames:
         cfg = make_config(frames=30, slicer="counts:2,5", acb=AcbPolicy("opt-inv"))
         for fr in run_simulation(cfg):
             o = fr.observation
-            assert (o.l_u, o.l_m) == fr.plan_summary == (2, 5)
-            assert o.v_s_u + 2 * o.v_c_u <= fr.backlog.active_u
-            assert o.v_s_m + 2 * o.v_c_m <= fr.backlog.active_m
+            assert (o.l_u, o.l_m) == (fr.l_u, fr.l_m) == (2, 5)
+            assert o.v_s_u + 2 * o.v_c_u <= fr.active_u
+            assert o.v_s_m + 2 * o.v_c_m <= fr.active_m
 
     def test_barred_to_empty_counts_as_idle(self):
         # force heavy barring: static factor 0 bars every collision completely
@@ -234,7 +242,7 @@ class TestDeterminism:
         assert len(a) == len(b) == 50
         for fa, fb in zip(a, b):
             assert fa.observation == fb.observation
-            assert fa.backlog == fb.backlog
+            assert (fa.active_u, fa.active_m) == (fb.active_u, fb.active_m)
             assert fa == fb  # every field, prediction and plan included
 
     def test_sub_seeds_are_order_insensitive(self):
@@ -263,10 +271,8 @@ class TestMonteCarlo:
         mc = run_monte_carlo(cfg)
         rng = np.random.default_rng(realization_seed(cfg.seed, 0))
         frames = run_simulation(cfg, rng=rng)
-        eta = [
-            (fr.served_u + fr.served_m) / sum(fr.plan_summary) for fr in frames
-        ]
-        assert np.allclose(mc.stacks["eta"][0], eta)
+        eta = [(fr.served_u + fr.served_m) / (fr.l_u + fr.l_m) for fr in frames]
+        assert mc.stacks["eta"][0].tolist() == eta
 
     def test_stderr_shrinks_with_realizations(self):
         base = make_config(
@@ -302,14 +308,14 @@ class TestPredictorsInTheLoop:
     def test_perfect_predictor_sees_truth(self):
         cfg = make_config(frames=30, slicer="maxrect", predictor="perfect", seed=17)
         for fr in run_simulation(cfg):
-            assert fr.prediction.k_hat_u == fr.backlog.active_u
-            assert fr.prediction.k_hat_m == fr.backlog.active_m
+            assert fr.k_hat_u == fr.active_u
+            assert fr.k_hat_m == fr.active_m
 
     def test_naive_predictor_runs_and_stays_bounded(self):
         cfg = make_config(frames=40, slicer="maxrect", predictor="naive", seed=17)
         for fr in run_simulation(cfg):
-            assert 0 <= fr.prediction.k_hat_u <= cfg.traffic.k_u
-            assert 0 <= fr.prediction.k_hat_m <= cfg.traffic.k_m
+            assert 0 <= fr.k_hat_u <= cfg.traffic.k_u
+            assert 0 <= fr.k_hat_m <= cfg.traffic.k_m
 
     def test_naive_predictor_keeps_urllc_channels(self):
         # a frame with no URLLC channel must not lock the URLLC estimate at 0

@@ -12,34 +12,28 @@ from rasim.metrics import (
     predictor_mse,
     predictor_mse_raw,
 )
-from rasim.traffic import BacklogState
-
 from conftest import make_config
-
-
-class FrameStub:
-    def __init__(self, served_u, served_m, l_u, l_m):
-        self.served_u = served_u
-        self.served_m = served_m
-        self.plan_summary = (l_u, l_m)
 
 
 class TestThroughput:
     def test_all_channels_successful(self):
-        assert normalized_throughput(FrameStub(5, 49, 5, 49)) == 1.0
+        assert normalized_throughput(5, 49, 5, 49) == 1.0
 
     def test_half(self):
-        assert normalized_throughput(FrameStub(7, 20, 5, 49)) == 0.5
+        assert normalized_throughput(7, 20, 5, 49) == 0.5
 
     def test_no_channels_absent_sample(self):
-        assert math.isnan(normalized_throughput(FrameStub(0, 0, 0, 0)))
+        assert math.isnan(normalized_throughput(0, 0, 0, 0))
+        # per frame: only the frame without channels is absent
+        eta = normalized_throughput([5, 0, 7], [49, 0, 20], [5, 0, 5], [49, 0, 49])
+        assert eta[0] == 1.0 and math.isnan(eta[1]) and eta[2] == 0.5
 
     def test_equals_recomputation_from_observation(self):
         cfg = make_config(frames=30, slicer="counts:3,20", seed=6)
         for fr in run_simulation(cfg):
-            direct = normalized_throughput(fr)
+            direct = normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m)
             o = fr.observation
-            assert direct == pytest.approx((o.v_s_u + o.v_s_m) / (o.l_u + o.l_m))
+            assert direct == (o.v_s_u + o.v_s_m) / (o.l_u + o.l_m)
 
     def test_one_frame_expectation_matches_binomial_occupancy(self, rng):
         # no-backlog single frame with all devices active: compare against the
@@ -61,15 +55,15 @@ class TestThroughput:
 
 class TestChannelLoading:
     def test_unit_loading(self):
-        cl_u, cl_m = channel_loading(BacklogState(new_u=5), (5, 4))
+        cl_u, cl_m = channel_loading(5, 0, 5, 4)
         assert cl_u == 1.0
 
     def test_two_users_per_channel(self):
-        _, cl_m = channel_loading(BacklogState(new_m=98), (0, 49))
+        _, cl_m = channel_loading(0, 98, 0, 49)
         assert cl_m == 2.0
 
     def test_missing_mode_absent(self):
-        cl_u, _ = channel_loading(BacklogState(new_u=3), (0, 10))
+        cl_u, _ = channel_loading(3, 0, 0, 10)
         assert math.isnan(cl_u)
 
     def test_slicing_lowers_urllc_loading_under_load(self):

@@ -17,7 +17,6 @@ from rasim.predictor import (
     save_predictor,
     training_pairs,
 )
-from rasim.traffic import BacklogState
 
 
 def obs(t, u=(1, 2, 2), m=(10, 5, 34)):
@@ -58,14 +57,13 @@ class TestHistory:
 
 class TestPerfect:
     def test_identity(self):
-        state = BacklogState(new_u=2, retry_u=3, new_m=100, retry_m=20)
-        pred = perfect_predict(state)
-        assert (pred.k_hat_u, pred.k_hat_m) == (5, 120)
-        assert pred.k_hat == 125
+        pred = perfect_predict(2 + 3, 100 + 20)
+        assert pred == (5, 120)
+        assert sum(pred) == 125
 
     def test_zeros(self):
-        pred = perfect_predict(BacklogState())
-        assert pred.k_hat == 0
+        pred = perfect_predict(0, 0)
+        assert pred == (0, 0)
 
 
 class TestNaive:

@@ -96,10 +96,10 @@ class TestSweepFailure:
 
         orig = rasim.engine.update_backlog
 
-        def failing(state, arrivals_m, arrivals_u, failed_m, failed_u, cfg):
+        def failing(active_m, active_u, arrivals_m, arrivals_u, failed_m, failed_u, cfg):
             if cfg.k_m == 300:
                 raise ValueError("injected invariant failure")
-            return orig(state, arrivals_m, arrivals_u, failed_m, failed_u, cfg)
+            return orig(active_m, active_u, arrivals_m, arrivals_u, failed_m, failed_u, cfg)
 
         monkeypatch.setattr(rasim.engine, "update_backlog", failing)
         points = tuple(

@@ -10,9 +10,7 @@ from rasim.slicing import (
     FreeRectSet,
     GridConfig,
     SlicingPlan,
-    evaluate_objective,
     fixed_grid_slice,
-    max_mmtc_channels,
     maxrect_slice,
     mmtc_box_ladder,
     numerology_symbols,
@@ -62,22 +60,6 @@ class TestPacketSizing:
             packet_size_rbs(0, 4, 5, 14)
         with pytest.raises(ValueError):
             packet_size_rbs(32, 1, 5, 14)
-
-
-class TestCapacityBound:
-    def test_stock_values(self, stock_grid):
-        assert max_mmtc_channels(stock_grid, 25) == 16  # (500 - 250) / 15
-        assert max_mmtc_channels(stock_grid, 0) == 33
-        assert max_mmtc_channels(stock_grid, 50) == 0
-
-    def test_fractional_flag(self):
-        cfg = GridConfig(z_fractional=True)
-        # (500 - 9.5*25) / (205/14) = 262.5 / 14.642857 = 17.9 -> 17
-        assert max_mmtc_channels(cfg, 25) == 17
-
-    def test_negative_rejected(self, stock_grid):
-        with pytest.raises(ValueError):
-            max_mmtc_channels(stock_grid, -1)
 
 
 class TestFixedGrid:
@@ -224,24 +206,6 @@ class TestValidator:
     def test_out_of_grid(self, stock_grid):
         plan = self._plan([ChannelAssignment(0, MMTC, 0, 45, 15, 0, 1)])
         assert any(v.constraint == "well-formed" for v in validate_constraints(plan, stock_grid))
-
-
-class TestObjective:
-    def test_empty_plan(self, stock_grid):
-        plan = maxrect_slice(stock_grid, 0, 0)
-        assert evaluate_objective(plan, stock_grid, 0, 0) == 0.0
-
-    def test_stock_weights_case(self, stock_grid):
-        # L_u=5, L_m=16, backlog 30, k_u=25 so the bound is min(21, 16) = 16:
-        # 0.9*5 + 0.05*16 - 0.05*(30 - 16) = 4.6
-        plan = maxrect_slice(stock_grid, 5, 16)
-        assert (plan.l_u, plan.l_m) == (5, 16)
-        assert evaluate_objective(plan, stock_grid, 30, 25) == pytest.approx(4.6)
-
-    def test_urllc_channel_adds_its_weight_when_penalty_slack(self, stock_grid):
-        a = evaluate_objective(maxrect_slice(stock_grid, 4, 10), stock_grid, 5, 0)
-        b = evaluate_objective(maxrect_slice(stock_grid, 5, 10), stock_grid, 5, 0)
-        assert b - a == pytest.approx(stock_grid.omega_u)
 
 
 class TestPlanOutput:

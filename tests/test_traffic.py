@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rasim.traffic import (
-    BacklogState,
     TrafficConfig,
     beta_activation_profile,
     expected_arrivals_per_frame,
@@ -128,32 +127,37 @@ class TestArrivalSampling:
 class TestBacklog:
     def test_retries_plus_arrivals(self):
         cfg = TrafficConfig()
-        state = BacklogState(new_m=30, retry_m=20, frame_index=4)
-        assert state.active_m == 50
-        nxt = update_backlog(state, 5, 0, 20, 0, cfg)
-        assert nxt.retry_m == 20 and nxt.new_m == 5 and nxt.active_m == 25
-        assert nxt.frame_index == 5
+        # 50 active mMTC UEs, 20 of them fail and retry next frame beside 5 arrivals
+        new_m, new_u = update_backlog(50, 0, 5, 0, 20, 0, cfg)
+        assert (new_m, new_u) == (5, 0)
+        assert new_m + 20 == 25
 
     def test_empty(self):
-        nxt = update_backlog(BacklogState(), 0, 0, 0, 0, TrafficConfig())
-        assert nxt.active_m == 0 and nxt.active_u == 0
+        assert update_backlog(0, 0, 0, 0, 0, 0, TrafficConfig()) == (0, 0)
 
     def test_failed_exceeding_active_rejected(self):
         with pytest.raises(ValueError):
-            update_backlog(BacklogState(new_m=3), 0, 0, 4, 0, TrafficConfig())
+            update_backlog(3, 0, 0, 0, 4, 0, TrafficConfig())
+        with pytest.raises(ValueError):
+            update_backlog(0, 3, 0, 0, 0, 4, TrafficConfig())
+        with pytest.raises(ValueError):
+            update_backlog(3, 3, -1, 0, 0, 0, TrafficConfig())
 
     def test_overload_saturates_at_population(self, rng):
         # arrivals every frame, zero successes: active climbs monotonically to k_m
         cfg = TrafficConfig(k_m=200, k_m_periodic=0, p_act=0.2)
-        state = BacklogState()
+        active_m = active_u = 0
         prev = 0
         for t in range(300):
             arrivals = sample_mmtc_arrivals(cfg, t, rng)
-            state = update_backlog(state, arrivals, 0, state.active_m, state.active_u, cfg)
-            assert state.active_m >= prev
-            assert state.active_m <= cfg.k_m
-            prev = state.active_m
-        assert state.active_m == cfg.k_m
+            new_m, new_u = update_backlog(
+                active_m, active_u, arrivals, 0, active_m, active_u, cfg
+            )
+            active_m, active_u = new_m + active_m, new_u + active_u
+            assert active_m >= prev
+            assert active_m <= cfg.k_m
+            prev = active_m
+        assert active_m == cfg.k_m
 
     @given(
         new_m=st.integers(0, 100),
@@ -164,17 +168,18 @@ class TestBacklog:
     @settings(max_examples=200, deadline=None)
     def test_update_is_deterministic_and_capped(self, new_m, retry_m, failed, arrivals):
         cfg = TrafficConfig(k_m=150)
-        state = BacklogState(new_m=new_m, retry_m=retry_m)
-        if failed > state.active_m:
+        active_m = new_m + retry_m
+        if failed > active_m:
             with pytest.raises(ValueError):
-                update_backlog(state, arrivals, 0, failed, 0, cfg)
+                update_backlog(active_m, 0, arrivals, 0, failed, 0, cfg)
             return
-        a = update_backlog(state, arrivals, 0, failed, 0, cfg)
-        b = update_backlog(state, arrivals, 0, failed, 0, cfg)
+        a = update_backlog(active_m, 0, arrivals, 0, failed, 0, cfg)
+        b = update_backlog(active_m, 0, arrivals, 0, failed, 0, cfg)
         assert a == b
-        assert a.retry_m == failed
-        assert a.active_m <= cfg.k_m
-        assert a.active_m == a.new_m + a.retry_m
+        next_new_m, next_new_u = a
+        assert next_new_u == 0
+        assert next_new_m + failed <= cfg.k_m
+        assert next_new_m == min(arrivals, cfg.k_m - failed)
 
 
 def test_expected_arrivals_prior():
