@@ -38,7 +38,7 @@ class TestConfigLoading:
 
 
     def test_bad_weights_named(self, cfg_file, capsys):
-        # the slicing objective is gone: its weights and flag are unknown fields
+        # the packer optimises no weighted objective: its weights are unknown fields
         for field in ("omega_u", "omega_m", "omega_p", "z_fractional"):
             path = cfg_file({"grid": {field: 0.5}})
             with pytest.raises(ConfigError, match=f"grid: unknown field.*{field}"):
