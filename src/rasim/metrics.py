@@ -17,7 +17,8 @@ def _ratio(num, den):
     """num / den elementwise, as floats; NaN where den is 0."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, math.nan), where=den != 0)
+    out = np.full(np.broadcast(num, den).shape, math.nan)
+    return np.divide(num, den, out=out, where=den != 0)
 
 
 def normalized_throughput(served_u, served_m, l_u, l_m):

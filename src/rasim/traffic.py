@@ -117,10 +117,11 @@ def update_backlog(
 ) -> tuple[int, int]:
     """New arrivals (new_m, new_u) admitted next frame, after this frame's failures.
 
-    UEs that failed this frame retry in the next one (zero barring time), so
-    next frame's active count is the new arrivals plus the failed count. A
-    backlogged UE does not queue a second packet, so effective new arrivals
-    are capped at the population headroom beyond the retrying UEs.
+    ``failed_*`` of this frame's ``active_*`` UEs failed; they retry in the
+    next frame (zero barring time), so its active count is the new arrivals
+    plus the failed count. A backlogged UE does not queue a second packet,
+    so effective new arrivals are capped at the population headroom beyond
+    the retrying UEs.
     """
     if failed_m < 0 or failed_u < 0 or arrivals_m < 0 or arrivals_u < 0:
         raise ValueError("counts must be non-negative")
