@@ -31,7 +31,6 @@ from .slicing import (
     SlicingPlan,
     fixed_grid_slice,
     maxrect_slice,
-    numerology_symbols,
     packet_size_rbs,
     validate_constraints,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_scalar_fields
 
 GRANT_FREE = "gf"
 STATIC = "static"
@@ -31,6 +31,7 @@ class AcbPolicy:
     p: float = 1.0  # used by the static policy only
 
     def __post_init__(self):
+        check_scalar_fields(self)
         if self.kind not in (GRANT_FREE, STATIC, OPT_INVERSE, OPT_LITERAL):
             raise ConfigError(f"unknown barring policy {self.kind!r}")
         if self.kind == STATIC and not 0.0 <= self.p <= 1.0:

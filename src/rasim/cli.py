@@ -49,29 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    fields = {}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if getattr(args, "realizations", None) is not None:
-        fields["realizations"] = args.realizations
-    if getattr(args, "frames", None) is not None:
-        fields["frames"] = args.frames
-    return dataclasses.replace(cfg, **fields) if fields else cfg
+    names = ("seed", "realizations", "frames")
+    fields = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **fields)
 
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    cfg.validate()
     if args.preset:
         scenario = PRESETS[args.preset](cfg)
-        # CLI overrides also apply to every materialized point
-        scenario = Scenario(
-            scenario.name,
-            tuple(
-                ScenarioPoint(p.label, _apply_overrides(p.cfg, args))
-                for p in scenario.points
-            ),
-        )
     else:
         scenario = Scenario("run", (ScenarioPoint("run", cfg),))
     manifest = run_scenario(scenario, args.out, workers=args.workers)
@@ -81,7 +67,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    cfg.validate()
     predictor, report = train_backlog_predictor(
         cfg, samples=args.samples, epochs=args.epochs
     )
@@ -95,7 +80,6 @@ def cmd_train(args) -> int:
 
 def cmd_slice(args) -> int:
     cfg = load_config(args.config)
-    cfg.validate()
     if args.ku < 0 or args.km < 0:
         raise ConfigError("--ku and --km must be non-negative")
     plan = maxrect_slice(cfg.grid, args.ku, args.km)
@@ -109,7 +93,6 @@ def cmd_slice(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    cfg.validate()
     print(f"ok (config hash {config_hash(cfg)[:16]})")
     return 0
 

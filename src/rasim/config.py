@@ -12,21 +12,23 @@ import dataclasses
 import hashlib
 import json
 
-from .acb import AcbPolicy, parse_policy
+from .acb import parse_policy
 from .engine import SimulationConfig
 from .errors import ConfigError
 from .slicing import GridConfig
 from .traffic import TrafficConfig
 
 
-def _build(section: str, cls, data: dict):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+def _build(section: str, cls, data):
+    """cls(**data); any fault raises a ConfigError that names the section."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section}: must be an object, not {data!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{section}: unknown field(s) {sorted(unknown)}")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -37,36 +39,34 @@ def config_from_dict(data: dict) -> SimulationConfig:
     traffic = _build("traffic", TrafficConfig, data.pop("traffic", {}))
     grid = _build("grid", GridConfig, data.pop("grid", {}))
     acb = data.pop("acb", "gf")
+    if not isinstance(acb, str):
+        raise ConfigError(f"acb: must be a string, not {acb!r}")
     try:
-        policy = acb if isinstance(acb, AcbPolicy) else parse_policy(acb)
+        policy = parse_policy(acb)
     except ValueError as exc:
         raise ConfigError(f"acb: {exc}") from exc
-    cfg = _build(
+    return _build(
         "simulation",
         SimulationConfig,
         {"traffic": traffic, "grid": grid, "acb": policy, **data},
     )
-    # re-run each validator so the error names its section
-    for section, obj in (("traffic", traffic), ("grid", grid), ("simulation", cfg)):
-        try:
-            obj.validate()
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-    return cfg
 
 
 def load_config(path) -> SimulationConfig:
-    """Parse a config file; whitespace-only files mean 'all defaults'."""
+    """Parse a config file; whitespace-only files mean 'all defaults'.
+
+    Every ConfigError names the file, then the section and field.
+    """
     with open(path) as fh:
         text = fh.read()
-    if not text.strip():
-        data = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return config_from_dict(data)
+    try:
+        data = json.loads(text) if text.strip() else {}
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_to_dict(cfg: SimulationConfig) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
 from .acb import AcbPolicy, collided_survivors
-from .errors import ConfigError
+from .errors import ConfigError, check_scalar_fields
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
     LstmPredictor,
@@ -99,20 +99,25 @@ class SimulationConfig:
     t_w: int = 10                # observation window length
     steady_fraction: float = 0.2
 
-    def validate(self):
-        self.traffic.validate()
-        self.grid.validate()
+    def __post_init__(self):
+        check_scalar_fields(self)
         if self.frames < 1:
             raise ConfigError("frames must be >= 1")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.t_w < 1:
             raise ConfigError("t_w must be >= 1")
         if not 0.0 < self.steady_fraction <= 1.0:
             raise ConfigError("steady_fraction must lie in (0, 1]")
         parse_predictor(self.predictor)
         parse_slicer(self.slicer)
-        return self
+
+    @property
+    def steady_start(self) -> int:
+        """First frame of the steady-state window, the final steady_fraction of the run."""
+        return int(self.frames * (1.0 - self.steady_fraction))
 
 
 class FrameResult(NamedTuple):
@@ -198,7 +203,6 @@ class SimulationState:
     """Mutable per-realization state threaded through run_frame."""
 
     def __init__(self, cfg: SimulationConfig, lstm: LstmPredictor | None = None):
-        cfg.validate()
         self.cfg = cfg
         self.active_u = self.active_m = 0  # the current frame's backlog
         self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
@@ -347,9 +351,7 @@ class MonteCarloResult:
 
     def steady_mean(self, name: str) -> float:
         """Scalar mean over the final steady-state window of the run."""
-        per_frame = self.mean(name)
-        start = int(len(per_frame) * (1.0 - self.cfg.steady_fraction))
-        return float(nanmean_quiet(per_frame[start:]))
+        return float(nanmean_quiet(self.mean(name)[self.cfg.steady_start:]))
 
 
 @contextmanager
@@ -378,7 +380,6 @@ def start_monte_carlo(cfg: SimulationConfig, lstm: LstmPredictor | None = None, 
     Returns a function, to be called once, that collects the runs and merges
     them, in index order, into a MonteCarloResult.
     """
-    cfg.validate()
     indices = range(cfg.realizations)
     futures = None if pool is None else [
         pool.submit(realization_metrics, cfg, i, lstm) for i in indices

@@ -45,15 +45,6 @@ def predictor_mse(predictions, truths, population: int) -> float:
     return float(np.mean(((preds - true) / population) ** 2))
 
 
-def predictor_mse_raw(predictions, truths) -> float:
-    """Unnormalized mean squared error, in users squared."""
-    preds = np.asarray(predictions, dtype=float)
-    true = np.asarray(truths, dtype=float)
-    if preds.size == 0 or preds.shape != true.shape:
-        raise ValueError("predictions and truths must be equal-length and non-empty")
-    return float(np.mean((preds - true) ** 2))
-
-
 def mean_and_stderr(samples) -> tuple[float, float]:
     """NaN-aware mean and standard error across realization samples.
 

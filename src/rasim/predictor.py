@@ -106,10 +106,6 @@ class PredictionResult(NamedTuple):
     k_hat_u: int
     k_hat_m: int
 
-    @property
-    def k_hat(self) -> int:
-        return self.k_hat_u + self.k_hat_m
-
 
 def cold_start_prior(cfg: TrafficConfig) -> PredictionResult:
     """Rounded long-run mean arrivals: the estimate made without an observation."""

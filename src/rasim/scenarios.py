@@ -27,6 +27,7 @@ from .engine import (
     METRIC_COLUMNS,
     MonteCarloResult,
     SimulationConfig,
+    nanmean_quiet,
     parse_predictor,
     realization_pool,
     start_monte_carlo,
@@ -146,9 +147,7 @@ def write_point_csv(path: str, result: MonteCarloResult):
 
 def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, float]]:
     """Steady-window scalar per realization, then mean +/- stderr across them."""
-    from .engine import nanmean_quiet
-
-    start = int(result.cfg.frames * (1.0 - result.cfg.steady_fraction))
+    start = result.cfg.steady_start
     out = {}
     for name in METRIC_COLUMNS:
         per_real = nanmean_quiet(result.stacks[name][:, start:], axis=1)

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_scalar_fields
 
 URLLC = "urllc"
 MMTC = "mmtc"
@@ -43,15 +43,15 @@ class GridConfig:
     m_m: int = 256          # mMTC modulation order
     xi: int = 5             # protocol overhead, symbols
 
-    def validate(self):
+    def __post_init__(self):
+        check_scalar_fields(self)
         if min(self.f, self.s, self.nu) < 1:
             raise ConfigError("f, s and nu must be >= 1")
         for name, m in (("m_u", self.m_u), ("m_m", self.m_m)):
             if m < 2 or m & (m - 1):
                 raise ConfigError(f"{name} must be a power of 2 and >= 2")
         if self.p_u <= 0 or self.p_m <= 0 or self.xi < 0:
-            raise ConfigError("packet sizes must be positive and xi >= 0")
-        return self
+            raise ConfigError("p_u and p_m must be positive and xi >= 0")
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,6 @@ class Violation:
     constraint: str          # well-formed | single-slot | numerology | overlap | capacity
     channel_ids: tuple
     detail: str
-
-
-def numerology_symbols(mu: int, nu: int) -> int:
-    """Symbols carried per millisecond at numerology factor mu (2^mu * nu)."""
-    if not 0 <= mu <= 4:
-        raise ValueError("numerology factor must be in 0..4")
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    return (1 << mu) * nu
-
-
-def tti_ms(n_symbols: float, mu: int, nu: int) -> float:
-    """Transmission time for n_symbols at numerology mu, in milliseconds."""
-    return n_symbols / numerology_symbols(mu, nu)
 
 
 def packet_size_rbs(p_bytes: int, m_order: int, xi: int, nu: int) -> tuple[float, int]:
@@ -224,7 +210,6 @@ def maxrect_slice(cfg: GridConfig, k_hat_u: int, k_hat_m: int) -> SlicingPlan:
     once the demand is met, the free area drops below one packet, or no shape
     fits anywhere. Returns fewer channels than requested when space runs out.
     """
-    cfg.validate()
     if k_hat_u < 0 or k_hat_m < 0:
         raise ValueError("channel demands must be non-negative")
     iota_u, iota_m = _iota_rbs(cfg)
@@ -282,7 +267,6 @@ def fixed_grid_slice(cfg: GridConfig, l_u: int = 5) -> SlicingPlan:
     mMTC. A grid narrower than one channel yields an empty plan, which signals
     the infeasible tiling.
     """
-    cfg.validate()
     per_slot = cfg.f // FIXED_CHANNEL_WIDTH
     channels = []
     for f_idx in range(per_slot):

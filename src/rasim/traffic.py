@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_scalar_fields
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,18 @@ class TrafficConfig:
     alpha: float = 3.0       # Beta shape of the burst profile
     beta: float = 4.0
 
-    def validate(self):
+    def __post_init__(self):
+        check_scalar_fields(self)
         if self.k_m < 0 or self.k_u < 0:
-            raise ConfigError("population sizes must be non-negative")
+            raise ConfigError("k_m and k_u must be non-negative")
         if self.k_m_periodic < 0 or self.k_m_periodic > self.k_m:
             raise ConfigError("k_m_periodic must lie in [0, k_m]")
         if self.t_m < 1 or self.t_u < 1:
-            raise ConfigError("periods t_m, t_u must be >= 1")
+            raise ConfigError("t_m and t_u must be >= 1")
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ConfigError("alpha and beta must be positive and finite")
         if not 0.0 <= self.p_act <= 1.0:
             raise ConfigError("p_act must lie in [0, 1]")
-        return self
 
 
 def beta_activation_profile(cfg: TrafficConfig, t: int) -> float:
@@ -56,8 +56,6 @@ def beta_activation_profile(cfg: TrafficConfig, t: int) -> float:
     """
     if t < 0:
         raise ValueError("frame index must be non-negative")
-    if cfg.alpha <= 0 or cfg.beta <= 0:
-        raise ValueError("alpha and beta must be positive")
     tau = t % cfg.t_u
     a, b = cfg.alpha, cfg.beta
     if tau == 0:

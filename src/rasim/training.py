@@ -17,7 +17,7 @@ import numpy as np
 from .engine import SimulationConfig, run_simulation
 from .errors import ConfigError
 from .lstm import lstm_train
-from .metrics import predictor_mse, predictor_mse_raw
+from .metrics import predictor_mse
 from .predictor import (
     LstmPredictor,
     ObservationHistory,
@@ -51,8 +51,6 @@ class TrainingReport:
     train_mse_m: float
     val_mse_u: float
     val_mse_m: float
-    val_mse_u_raw: float
-    val_mse_m_raw: float
     naive_mse_u: float
     naive_mse_m: float
     epochs: int
@@ -100,8 +98,6 @@ def train_backlog_predictor(
         train_mse_m=hist_m[-1],
         val_mse_u=predictor_mse(lstm_pred["u"], truth["u"], tc.k_u),
         val_mse_m=predictor_mse(lstm_pred["m"], truth["m"], tc.k_m),
-        val_mse_u_raw=predictor_mse_raw(lstm_pred["u"], truth["u"]),
-        val_mse_m_raw=predictor_mse_raw(lstm_pred["m"], truth["m"]),
         naive_mse_u=predictor_mse(naive_pred["u"], truth["u"], tc.k_u),
         naive_mse_m=predictor_mse(naive_pred["m"], truth["m"], tc.k_m),
         epochs=epochs,

@@ -58,6 +58,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(cfg_file("{{{"))
 
+    def test_integer_too_long_to_read_is_a_config_error(self, cfg_file):
+        # json refuses integers of over 4300 digits with a plain ValueError
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(cfg_file('{"frames": ' + "1" * 5000 + "}"))
+
     def test_hash_is_stable(self, cfg_file):
         a = config_hash(load_config(cfg_file("")))
         b = config_hash(load_config(cfg_file("{}")))
@@ -223,6 +228,7 @@ class TestExitCodes:
         ["simulate", "--realizations", "0"],
         ["train", "--out", "{tmp}/m.txt", "--epochs", "0"],
         ["slice", "--ku", "-1"],
+        ["simulate", "--seed", "-1"],
     ])
     def test_bad_arguments_exit_1(self, cfg_file, tmp_path, capsys, argv):
         cmd, *rest = (arg.replace("{tmp}", str(tmp_path)) for arg in argv)
@@ -230,6 +236,44 @@ class TestExitCodes:
             rest += ["--out", str(tmp_path / "out")]
         assert main([cmd, "--config", cfg_file(""), *rest]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+MALFORMED = [
+    ({"frames": "10"}, "simulation: frames"),
+    ({"frames": 10.5}, "simulation: frames"),
+    ({"frames": True}, "simulation: frames"),
+    ({"seed": "x"}, "simulation: seed"),
+    ({"seed": -2}, "simulation: seed"),
+    ({"seed": 2.5}, "simulation: seed"),
+    ({"seed": True}, "simulation: seed"),
+    ({"t_w": 2.5}, "simulation: t_w"),
+    ({"steady_fraction": "0.2"}, "simulation: steady_fraction"),
+    ({"predictor": 5}, "simulation: predictor"),
+    ({"acb": 3}, "acb:"),
+    ({"traffic": None}, "traffic:"),
+    ({"traffic": {"alpha": "3"}}, "traffic: alpha"),
+    ({"traffic": {"k_m": 1000.5}}, "traffic: k_m"),
+    ({"grid": {"f": "50"}}, "grid: f"),
+]
+
+
+class TestMalformedConfigs:
+    """A malformed config exits 1 before any work, naming the file and the section or field."""
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize(
+        "content,named", MALFORMED, ids=[json.dumps(c) for c, _ in MALFORMED]
+    )
+    def test_exits_1_naming_file_and_field(
+        self, cfg_file, tmp_path, capsys, command, content, named
+    ):
+        path = cfg_file(content)
+        out = tmp_path / "out"
+        argv = [command, "--config", path] + (["--out", str(out)] if command == "simulate" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {named}"), err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -297,3 +341,16 @@ class TestSimulateCommand:
         labels = [p["label"] for p in manifest["points"]]
         assert "gf_km1000" in labels and "opt-inv_km30000" in labels
         assert len(labels) == 28  # 7 population points x 4 policies
+
+    def test_cli_overrides_reach_every_preset_point(self, cfg_file, tmp_path):
+        out = tmp_path / "f4"
+        cfg = cfg_file({"frames": 50, "realizations": 3, "seed": 3})
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--frames", "5",
+                "--realizations", "2", "--seed", "9", "--preset", "fig4"]
+        assert main(argv) == 0
+        points = json.loads((out / "manifest.json").read_text())["points"]
+        assert len(points) == 28
+        for point in points:
+            recorded = point["config"]
+            assert (recorded["frames"], recorded["realizations"], recorded["seed"]) == (5, 2, 9)
+            assert point["seed"] == 9

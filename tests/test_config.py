@@ -2,9 +2,11 @@
 
 A manifest records each point's config as ``config_to_dict`` and its
 ``config_hash``. Reading the recorded dict back must give the same config,
-and two configs may share a hash only if they are equal.
+and two configs share a hash exactly when they are equal, however a float
+field was spelled (3 or 3.0, -0.0 or 0.0).
 """
 
+import dataclasses
 import json
 import math
 
@@ -19,8 +21,9 @@ from rasim.engine import SimulationConfig
 from rasim.slicing import GridConfig
 from rasim.traffic import TrafficConfig
 
-unit = st.floats(0.0, 1.0)
-positive = st.floats(0.0, 1e6, exclude_min=True)
+# float fields also take integers, and -0.0
+unit = st.one_of(st.floats(0.0, 1.0), st.just(-0.0), st.integers(0, 1))
+positive = st.one_of(st.floats(0.0, 1e6, exclude_min=True), st.integers(1, 10**6))
 counts = st.integers(0, 10**6)
 powers_of_two = st.sampled_from([2**k for k in range(1, 11)])
 
@@ -79,8 +82,13 @@ configs = st.builds(
     realizations=st.integers(1, 10**4),
     seed=st.integers(0, 2**63),
     t_w=st.integers(1, 1000),
-    steady_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    steady_fraction=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1)),
 )
+
+
+def _integral_as_int(text):
+    value = float(text)
+    return int(value) if value.is_integer() else value
 
 
 @given(cfg=configs)
@@ -98,6 +106,48 @@ def test_manifest_form_reads_back_as_the_same_config(cfg):
 def test_hash_equal_only_for_equal_configs(a, data):
     b = data.draw(st.one_of(st.just(a), configs))
     assert (config_hash(a) == config_hash(b)) == (a == b)
+
+
+@given(cfg=configs)
+@settings(max_examples=200, deadline=None)
+def test_float_fields_hash_alike_however_spelled(cfg):
+    # the manifest form with every integral float written as an integer (3.0 as 3, -0.0 as 0)
+    respelled = json.loads(json.dumps(config_to_dict(cfg)), parse_float=_integral_as_int)
+    assert config_from_dict(respelled) == cfg
+    assert config_hash(config_from_dict(respelled)) == config_hash(cfg)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ({"traffic": {"alpha": 3}}, {"traffic": {"alpha": 3.0}}),
+        ({"traffic": {"p_act": 0}}, {"traffic": {"p_act": -0.0}}),
+        ({"steady_fraction": 1}, {"steady_fraction": 1.0}),
+        ({"acb": "static:0.0"}, {"acb": "static:-0.0"}),
+    ],
+)
+def test_float_field_spellings_hash_alike(a, b):
+    cfg_a, cfg_b = config_from_dict(a), config_from_dict(b)
+    assert cfg_a == cfg_b and config_hash(cfg_a) == config_hash(cfg_b)
+    assert config_to_dict(cfg_a) == config_to_dict(cfg_b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: TrafficConfig(k_m=1000.0), id="float k_m"),
+        pytest.param(lambda: TrafficConfig(alpha=True), id="bool alpha"),
+        pytest.param(lambda: TrafficConfig(alpha=10**400), id="alpha beyond float range"),
+        pytest.param(lambda: GridConfig(f="50"), id="str f"),
+        pytest.param(lambda: AcbPolicy("static", "0.5"), id="str p"),
+        pytest.param(lambda: dataclasses.replace(SimulationConfig(), seed=-1), id="seed -1"),
+        pytest.param(lambda: dataclasses.replace(SimulationConfig(), predictor=None), id="None predictor"),
+        pytest.param(lambda: dataclasses.replace(SimulationConfig(), frames=0), id="frames 0"),
+    ],
+)
+def test_no_malformed_config_can_be_constructed(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 @given(p=st.floats(0.0, 1.0, exclude_max=True))

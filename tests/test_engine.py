@@ -147,7 +147,7 @@ class TestFrames:
 
     def test_zero_frames_rejected(self):
         with pytest.raises(ValueError):
-            make_config(frames=0).validate()
+            make_config(frames=0)
 
     def test_observation_sums_match_plan(self):
         cfg = make_config(frames=40, slicer="counts:3,20")
@@ -344,4 +344,4 @@ class TestPredictorsInTheLoop:
 
     def test_unknown_predictor_rejected(self):
         with pytest.raises(ValueError):
-            make_config(predictor="psychic").validate()
+            make_config(predictor="psychic")

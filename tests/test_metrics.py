@@ -10,7 +10,6 @@ from rasim.metrics import (
     mean_and_stderr,
     normalized_throughput,
     predictor_mse,
-    predictor_mse_raw,
 )
 from conftest import make_config
 
@@ -88,9 +87,6 @@ class TestPredictorMse:
 
     def test_constant_zero_on_constant_backlog(self):
         assert predictor_mse([0, 0], [40, 40], 100) == pytest.approx((40 / 100) ** 2)
-
-    def test_raw_variant(self):
-        assert predictor_mse_raw([0, 0], [40, 40]) == pytest.approx(1600.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -13,30 +13,11 @@ from rasim.slicing import (
     fixed_grid_slice,
     maxrect_slice,
     mmtc_box_ladder,
-    numerology_symbols,
     packet_size_rbs,
     plan_dump_lines,
     render_plan_grid,
-    tti_ms,
     validate_constraints,
 )
-
-
-class TestNumerology:
-    @pytest.mark.parametrize("mu,expected", [(0, 14), (2, 56), (4, 224)])
-    def test_symbols_per_ms(self, mu, expected):
-        assert numerology_symbols(mu, 14) == expected
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            numerology_symbols(5, 14)
-        with pytest.raises(ValueError):
-            numerology_symbols(-1, 14)
-
-    def test_tti_companion(self):
-        # a full URLLC packet at base numerology spans 133/14 ms
-        assert tti_ms(133, 0, 14) == pytest.approx(9.5)
-        assert tti_ms(133, 2, 14) == pytest.approx(133 / 56)
 
 
 class TestPacketSizing:
