@@ -55,6 +55,8 @@ def _apply_overrides(cfg, args):
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     cfg = _apply_overrides(load_config(args.config), args)
     if args.preset:
         scenario = PRESETS[args.preset](cfg)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
@@ -32,7 +32,7 @@ from .predictor import (
     load_predictor,
     naive_predict,
     perfect_predict,
-    predict_backlog,
+    predict_backlogs,
     record_observation,
 )
 from .slicing import GridConfig, fixed_grid_slice, mmtc_room, urllc_room
@@ -200,9 +200,12 @@ def contend_uniform(
 
 
 class SimulationState:
-    """Mutable per-realization state threaded through run_frame."""
+    """Mutable per-realization state threaded through run_frame.
 
-    def __init__(self, cfg: SimulationConfig, lstm: LstmPredictor | None = None):
+    It holds no LSTM model: run_lanes sets lstm_estimate before each frame.
+    """
+
+    def __init__(self, cfg: SimulationConfig):
         self.cfg = cfg
         self.active_u = self.active_m = 0  # the current frame's backlog
         self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
@@ -212,12 +215,7 @@ class SimulationState:
         predictor = parse_predictor(cfg.predictor)
         self._predictor = predictor.kind
         self.records = predictor.kind != PERFECT  # only naive and lstm read the history
-        self._lstm = lstm
-        if predictor.kind == LSTM:
-            if lstm is None:
-                self._lstm = load_predictor(predictor.model_path)
-            source = f"model file {predictor.model_path}" if lstm is None else "LSTM model"
-            check_predictor_matches(self._lstm, cfg.t_w, cfg.traffic, source)
+        self.lstm_estimate = None  # this frame's LSTM estimate, from the history
         slicer = parse_slicer(cfg.slicer)
         self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
         if slicer.kind == FIXED:
@@ -236,7 +234,7 @@ class SimulationState:
         if self._predictor == NAIVE:
             traffic = self.cfg.traffic
             return naive_predict(self.hist, traffic.k_u, traffic.k_m, self._prior)
-        return predict_backlog(self._lstm, self.hist)
+        return self.lstm_estimate
 
     def plan_for(self, pred: tuple[int, int]) -> tuple[int, int]:
         """Channel counts (l_u, l_m) of this frame's slice, given (k_hat_u, k_hat_m)."""
@@ -277,6 +275,45 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
     return result
 
 
+def _lane_model(cfg: SimulationConfig, lstm: LstmPredictor | None) -> LstmPredictor | None:
+    """The LSTM predictor all lanes share, checked against cfg; None for other predictors.
+
+    Without a given predictor it is read from the model file of cfg.predictor.
+    """
+    spec = parse_predictor(cfg.predictor)
+    if spec.kind != LSTM:
+        return None
+    source = "LSTM model"
+    if lstm is None:
+        lstm, source = load_predictor(spec.model_path), f"model file {spec.model_path}"
+    check_predictor_matches(lstm, cfg.t_w, cfg.traffic, source)
+    return lstm
+
+
+def run_lanes(
+    cfg: SimulationConfig,
+    rngs: list[np.random.Generator],
+    lstm: LstmPredictor | None = None,
+) -> Iterator[list[FrameResult]]:
+    """Realizations in lockstep, one lane per generator: yields each frame's lane results.
+
+    Each lane has its own state and generator, and run_frame advances every
+    lane once per frame, so a lane draws exactly what it draws run alone. An
+    LSTM estimate depends on the history only, not on the frame's arrivals,
+    so one forward pass per frame makes every lane's estimate before the
+    lanes run that frame.
+    """
+    lstm = _lane_model(cfg, lstm)
+    sims = [SimulationState(cfg) for _ in rngs]
+    hists = [sim.hist for sim in sims]
+    lanes = list(zip(sims, rngs))
+    for frame in range(cfg.frames):
+        if lstm is not None and frame:  # frame 0 has no history: the cold-start prior
+            for sim, estimate in zip(sims, predict_backlogs(lstm, hists)):
+                sim.lstm_estimate = estimate
+        yield [run_frame(sim, cfg, rng) for sim, rng in lanes]
+
+
 def run_simulation(
     cfg: SimulationConfig,
     rng: np.random.Generator | None = None,
@@ -285,8 +322,7 @@ def run_simulation(
     """One realization: cfg.frames frames with persistent backlog and history."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    sim = SimulationState(cfg, lstm=lstm)
-    return [run_frame(sim, cfg, rng) for _ in range(cfg.frames)]
+    return [results[0] for results in run_lanes(cfg, [rng], lstm)]
 
 
 def realization_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -309,11 +345,22 @@ METRIC_COLUMNS = (
 )
 
 
-def realization_metrics(cfg: SimulationConfig, index: int, lstm: LstmPredictor | None = None):
-    """Run realization `index` and reduce it to per-frame metric arrays, by name."""
-    rng = np.random.default_rng(realization_seed(cfg.seed, index))
-    table = np.array(run_simulation(cfg, rng=rng, lstm=lstm), dtype=float)
-    fr = FrameResult(*table.T)  # each field a column over the frames
+def realization_metrics(
+    cfg: SimulationConfig, index: int | range, lstm: LstmPredictor | None = None
+):
+    """Run realization `index` and reduce it to per-frame metric arrays, by name.
+
+    Given a range of indices, those realizations run as lanes in lockstep and
+    each array is a (lanes, frames) stack, row i for realization index[i].
+    """
+    block = isinstance(index, range)
+    rngs = [
+        np.random.default_rng(realization_seed(cfg.seed, i)) for i in (index if block else [index])
+    ]
+    table = np.empty((len(rngs), cfg.frames, len(FrameResult._fields)))
+    for frame, results in enumerate(run_lanes(cfg, rngs, lstm)):
+        table[:, frame] = results
+    fr = FrameResult(*np.moveaxis(table if block else table[0], -1, 0))  # fields over the frames
     active_u, active_m = fr.active_u, fr.active_m
     columns = (
         normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m),
@@ -374,24 +421,38 @@ def realization_pool(workers: int):
             raise
 
 
-def start_monte_carlo(cfg: SimulationConfig, lstm: LstmPredictor | None = None, pool=None):
+def lane_blocks(realizations: int, parts: int) -> list[range]:
+    """Indices 0 .. realizations - 1 cut into at most `parts` contiguous blocks.
+
+    Block sizes differ by at most one.
+    """
+    parts = max(1, min(parts, realizations))
+    return [range(i * realizations // parts, (i + 1) * realizations // parts) for i in range(parts)]
+
+
+def start_monte_carlo(
+    cfg: SimulationConfig, lstm: LstmPredictor | None = None, pool=None, workers: int = 1
+):
     """Submit cfg.realizations runs to pool; without a pool they run when collected.
 
-    Returns a function, to be called once, that collects the runs and merges
-    them, in index order, into a MonteCarloResult.
+    Without a pool all realizations run as one block of lanes; with one,
+    they go to it as at most `workers` contiguous blocks. Lanes draw as if
+    run alone, so the split changes no result. Returns a function, to be
+    called once, that collects the blocks and merges them, in index order,
+    into a MonteCarloResult.
     """
-    indices = range(cfg.realizations)
+    blocks = lane_blocks(cfg.realizations, 1 if pool is None else workers)
     futures = None if pool is None else [
-        pool.submit(realization_metrics, cfg, i, lstm) for i in indices
+        pool.submit(realization_metrics, cfg, block, lstm) for block in blocks
     ]
 
     def finish() -> MonteCarloResult:
         if futures is None:
-            results = [realization_metrics(cfg, i, lstm) for i in indices]
+            results = [realization_metrics(cfg, block, lstm) for block in blocks]
         else:
             results = [f.result() for f in futures]
             futures.clear()  # free the results: a sweep keeps this function to its end
-        stacks = {name: np.stack([r[name] for r in results]) for name in METRIC_COLUMNS}
+        stacks = {name: np.concatenate([r[name] for r in results]) for name in METRIC_COLUMNS}
         return MonteCarloResult(stacks, cfg)
 
     return finish
@@ -403,5 +464,6 @@ def run_monte_carlo(
     lstm: LstmPredictor | None = None,
 ) -> MonteCarloResult:
     """cfg.realizations independent runs, merged in index order."""
-    with realization_pool(workers if cfg.realizations > 1 else 1) as pool:
-        return start_monte_carlo(cfg, lstm, pool)()
+    workers = workers if cfg.realizations > 1 else 1
+    with realization_pool(workers) as pool:
+        return start_monte_carlo(cfg, lstm, pool, workers)()

@@ -166,10 +166,15 @@ def lstm_forward(model: LstmModel, window: np.ndarray):
     """Deterministic estimate for one window (t, input), clamped to [0, 1].
 
     For a stack of k models the window is (k, t, input), window c going to
-    model c, and the result is an array of k estimates.
+    model c, and the result is an array of k estimates. Axes before those
+    are lane axes: windows (lanes..., k, t, input) give estimates (lanes...,
+    k). Each lane's products stay single-row, so its estimates are exactly
+    those of its window run alone.
     """
     window = np.asarray(window, dtype=float)
-    if window.ndim != np.ndim(model.b_out) + 2 or window.shape[-2] < 1:
+    classes = np.shape(model.b_out)
+    lanes = window.ndim - len(classes) - 2
+    if lanes < 0 or window.shape[lanes:-2] != classes or window.shape[-2] < 1:
         raise ValueError("window must be a non-empty (t, input) array per model")
     y, _ = _forward_batch(model, window[..., None, :, :])
     y = np.clip(y[..., 0], 0.0, 1.0)

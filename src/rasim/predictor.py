@@ -72,22 +72,20 @@ class ObservationHistory:
     def last(self) -> Observation:
         return self._window[-1]
 
-    def normalized_window(self) -> np.ndarray:
-        """(2, len, 3) state fractions of the window, URLLC first (see state_fractions)."""
-        return state_fractions(self._window)
-
 
 _COUNTS = attrgetter("v_s_u", "v_c_u", "v_i_u", "v_s_m", "v_c_m", "v_i_m")
 
 
-def state_fractions(observations) -> np.ndarray:
+def state_fractions(observations, lanes: int = 0) -> np.ndarray:
     """(2, frames, 3) success/collision/idle fractions per class, URLLC first.
 
     Each frame's triplet is divided by that frame's channel count of the
-    class; a frame without channels of the class gives a zero row.
+    class; a frame without channels of the class gives a zero row. Given
+    lanes, the observations are that many equally long windows, one after
+    another, and the result is (lanes, 2, frames, 3).
     """
     counts = np.array(list(map(_COUNTS, observations)), dtype=float)
-    counts = counts.reshape(-1, 2, 3).swapaxes(0, 1)
+    counts = counts.reshape(*((lanes,) if lanes else ()), -1, 2, 3).swapaxes(-3, -2)
     total = counts.sum(axis=-1, keepdims=True)
     return np.divide(counts, total, out=np.zeros(counts.shape), where=total > 0)
 
@@ -222,14 +220,36 @@ def check_predictor_matches(
             raise ConfigError(f"{source}: model has {name} {have}, the config {want}")
 
 
+def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[PredictionResult]:
+    """Estimates for windows (lanes, 2, t, 3) of state fractions, in one forward pass.
+
+    Both class models run over every lane's window; each raw estimate is
+    scaled to its class population, rounded and clamped to it.
+    """
+    pops = (predictor.population_u, predictor.population_m)
+    return [
+        PredictionResult(*(max(0, min(pop, round(raw * pop))) for raw, pop in zip(row, pops)))
+        for row in lstm_forward(predictor.stack, windows).tolist()
+    ]
+
+
+def predict_backlogs(predictor: LstmPredictor, hists) -> list[PredictionResult]:
+    """The estimate of each of several equally long histories, in one forward pass.
+
+    Each equals predict_backlog of its history alone, exactly.
+    """
+    length = len(hists[0])
+    if not length:
+        raise ValueError("history is empty")
+    if any(len(hist) != length for hist in hists):
+        raise ValueError("histories must be equally long")
+    observations = [obs for hist in hists for obs in hist._window]
+    return predict_windows(predictor, state_fractions(observations, len(hists)))
+
+
 def predict_backlog(predictor: LstmPredictor, hist: ObservationHistory) -> PredictionResult:
     """Run both class models over the window in one pass; round and clamp to population."""
-    if not len(hist):
-        raise ValueError("history is empty")
-    raw_u, raw_m = lstm_forward(predictor.stack, hist.normalized_window()).tolist()
-    k_u = max(0, min(predictor.population_u, round(raw_u * predictor.population_u)))
-    k_m = max(0, min(predictor.population_m, round(raw_m * predictor.population_m)))
-    return PredictionResult(k_u, k_m)
+    return predict_backlogs(predictor, (hist,))[0]
 
 
 def training_pairs(observations, backlog_u, backlog_m, t_w, population_u, population_m):

@@ -178,7 +178,8 @@ def _point_models(points) -> list:
 def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     """Execute every sweep point, write CSVs, a summary table and a manifest.
 
-    With workers > 1 one process pool runs the realizations of all points.
+    With workers > 1 one process pool runs the realizations of all points,
+    each point's as at most `workers` contiguous blocks of lanes.
     Points are written in order, so a point that fails stops the sweep with
     the earlier points written.
     """
@@ -191,7 +192,7 @@ def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     if sum(p.cfg.realizations for p in points) < 2:
         workers = 1
     with realization_pool(workers) as pool:
-        pending = [start_monte_carlo(p.cfg, m, pool) for p, m in zip(points, models)]
+        pending = [start_monte_carlo(p.cfg, m, pool, workers) for p, m in zip(points, models)]
         for point, finish in zip(points, pending):
             result = finish()
             csv_name = f"{point.label}.csv"

@@ -23,7 +23,7 @@ from .predictor import (
     ObservationHistory,
     cold_start_prior,
     naive_predict,
-    predict_backlog,
+    predict_windows,
     record_observation,
     training_pairs,
 )
@@ -107,21 +107,20 @@ def train_backlog_predictor(
 
 
 def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, obs, bu, bm):
-    """Per-frame predictions of both estimators over one held-out trace."""
-    prior = cold_start_prior(cfg.traffic)
-    hist = ObservationHistory(cfg.t_w)
-    lstm_pred = {"u": [], "m": []}
-    naive_pred = {"u": [], "m": []}
-    truth = {"u": [], "m": []}
-    for t, o in enumerate(obs):
-        if len(hist) == cfg.t_w:
-            lp = predict_backlog(predictor, hist)
-            np_ = naive_predict(hist, cfg.traffic.k_u, cfg.traffic.k_m, prior)
-            lstm_pred["u"].append(lp.k_hat_u)
-            lstm_pred["m"].append(lp.k_hat_m)
-            naive_pred["u"].append(np_.k_hat_u)
-            naive_pred["m"].append(np_.k_hat_m)
-            truth["u"].append(bu[t])
-            truth["m"].append(bm[t])
-        record_observation(hist, o)
+    """Per-frame predictions of both estimators over one held-out trace.
+
+    Every frame after the first t_w is predicted from the t_w frames before
+    it; the LSTM scores all those windows as lanes of one forward pass.
+    """
+    tc = cfg.traffic
+    windows, _ = training_pairs(obs, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
+    lstm_est = predict_windows(predictor, windows.swapaxes(0, 1))
+    prior = cold_start_prior(tc)
+    hist = ObservationHistory(1)  # the naive estimate reads the last frame only
+    naive_est = []
+    for o in obs[cfg.t_w - 1 : -1]:
+        naive_est.append(naive_predict(record_observation(hist, o), tc.k_u, tc.k_m, prior))
+    lstm_pred = {"u": [e.k_hat_u for e in lstm_est], "m": [e.k_hat_m for e in lstm_est]}
+    naive_pred = {"u": [e.k_hat_u for e in naive_est], "m": [e.k_hat_m for e in naive_est]}
+    truth = {"u": bu[cfg.t_w :], "m": bm[cfg.t_w :]}
     return lstm_pred, naive_pred, truth

@@ -5,7 +5,7 @@ import pytest
 
 from rasim.cli import main
 from rasim.config import ConfigError, config_hash, load_config
-from rasim.engine import SimulationConfig
+from rasim.engine import METRIC_COLUMNS, SimulationConfig, realization_metrics, run_monte_carlo
 
 
 @pytest.fixture
@@ -133,7 +133,9 @@ class TestModelFiles:
 
         rng = np.random.default_rng(5)
         path = tmp_path / "m.model"
-        pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000)
+        model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
+        model_u.b_out = model_m.b_out = 0.2  # estimates inside (0, 1) that follow the window
+        pred = LstmPredictor(model_u, model_m, 25, 1000)
         save_predictor(pred, path)
         return path
 
@@ -201,6 +203,30 @@ class TestModelFiles:
         assert main(argv) == 0
         assert log.read_text().splitlines() == [str(model_file)]
 
+    def _lstm_point(self, model_file):
+        return {"predictor": f"lstm:{model_file}", "slicer": "maxrect",
+                "frames": 40, "realizations": 5}
+
+    def test_lstm_outputs_identical_across_workers(self, cfg_file, tmp_path, model_file):
+        # 5 realizations run as one block of lanes, as blocks 2 + 3, and as 1 + 2 + 2
+        cfg = cfg_file(self._lstm_point(model_file))
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"out{workers}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("run.csv", "summary.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_each_lane_equals_its_realization_run_alone(self, cfg_file, model_file):
+        cfg = load_config(cfg_file(self._lstm_point(model_file)))
+        stacks = run_monte_carlo(cfg).stacks
+        for i in range(cfg.realizations):
+            alone = realization_metrics(cfg, i)
+            for name in METRIC_COLUMNS:
+                assert np.array_equal(stacks[name][i], alone[name], equal_nan=True), (i, name)
+        # the estimates, and so the URLLC slices, differ from lane to lane
+        assert len({tuple(row) for row in stacks["l_u"].tolist()}) == cfg.realizations
+
 
 class TestExitCodes:
     """Exit 1 is for bad input only; any other failure is a runtime failure, exit 2."""
@@ -229,6 +255,8 @@ class TestExitCodes:
         ["train", "--out", "{tmp}/m.txt", "--epochs", "0"],
         ["slice", "--ku", "-1"],
         ["simulate", "--seed", "-1"],
+        ["simulate", "--workers", "0"],
+        ["simulate", "--workers", "-4"],
     ])
     def test_bad_arguments_exit_1(self, cfg_file, tmp_path, capsys, argv):
         cmd, *rest = (arg.replace("{tmp}", str(tmp_path)) for arg in argv)

@@ -14,6 +14,7 @@ from rasim.engine import (
     SimulationConfig,
     SimulationState,
     contend_uniform,
+    lane_blocks,
     realization_metrics,
     realization_seed,
     run_monte_carlo,
@@ -285,6 +286,22 @@ class TestMonteCarlo:
         se_large = np.nanmean([mean_and_stderr(col)[1] for col in large.stacks["eta"].T])
         ratio = se_small / se_large
         assert 1.4 < ratio < 2.8  # ~sqrt(4) with Monte-Carlo slack
+
+    @pytest.mark.parametrize("realizations,parts,sizes", [
+        (5, 1, [5]), (5, 2, [2, 3]), (5, 3, [1, 2, 2]), (2, 2, [1, 1]), (2, 8, [1, 1]),
+    ])
+    def test_lane_blocks_are_contiguous(self, realizations, parts, sizes):
+        blocks = lane_blocks(realizations, parts)
+        assert [len(b) for b in blocks] == sizes
+        assert [i for b in blocks for i in b] == list(range(realizations))
+
+    def test_block_rows_equal_single_realizations(self):
+        cfg = make_config(frames=20, slicer="maxrect", predictor="naive", seed=4)
+        block = realization_metrics(cfg, range(1, 4))
+        for row, i in enumerate(range(1, 4)):
+            alone = realization_metrics(cfg, i)
+            for key in alone:
+                assert np.array_equal(block[key][row], alone[key], equal_nan=True)
 
     def test_parallel_matches_serial(self):
         cfg = make_config(frames=15, slicer="counts:2,10", realizations=3, seed=21)

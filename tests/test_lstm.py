@@ -229,6 +229,37 @@ class TestStackedModels:
             lstm_train((x, y), epochs=1, rng=[rng, rng], model=[good, bad])
 
 
+class TestLaneAxis:
+    """Leading lane axes: each lane's estimates are exactly its window's run alone."""
+
+    @pytest.mark.parametrize("hidden", [(20, 20), (20, 7)], ids=["equal", "padded"])
+    @pytest.mark.parametrize("lanes", [1, 3, 25])
+    def test_lanes_equal_single_windows_exactly(self, rng, hidden, lanes):
+        stack = stack_models([init_lstm(h, rng=rng) for h in hidden])
+        for t_len in (1, 10):
+            windows = rng.uniform(0, 1, size=(lanes, 2, t_len, 3))
+            estimates = lstm_forward(stack, windows)
+            assert estimates.shape == (lanes, 2)
+            for i in range(lanes):
+                assert (estimates[i] == lstm_forward(stack, windows[i])).all()
+
+    def test_single_model_lanes(self, rng):
+        model = init_lstm(6, rng=rng)
+        windows = rng.uniform(0, 1, size=(4, 10, 3))
+        estimates = lstm_forward(model, windows)
+        assert estimates.tolist() == [lstm_forward(model, w) for w in windows]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 2, 10, 2), (3, 2, 10, 4), (3, 2, 0, 3), (3, 10, 3), (10, 3)],
+        ids=["inputs-2", "inputs-4", "empty", "lanes-without-class-axis", "no-class-axis"],
+    )
+    def test_malformed_windows_rejected(self, rng, shape):
+        stack = stack_models([init_lstm(4, rng=rng), init_lstm(3, rng=rng)])
+        with pytest.raises(ValueError):
+            lstm_forward(stack, np.zeros(shape))
+
+
 def _reference_loss_and_grads(model, x, targets):
     """One model, one gate at a time: the arithmetic the stacked passes must reproduce."""
 

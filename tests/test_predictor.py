@@ -13,8 +13,10 @@ from rasim.predictor import (
     naive_predict,
     perfect_predict,
     predict_backlog,
+    predict_backlogs,
     record_observation,
     save_predictor,
+    state_fractions,
     training_pairs,
 )
 
@@ -50,7 +52,7 @@ class TestHistory:
     def test_normalized_window(self):
         hist = ObservationHistory(t_w=3)
         record_observation(hist, obs(0, u=(1, 1, 2), m=(0, 0, 0)))
-        win_u, win_m = hist.normalized_window()
+        win_u, win_m = state_fractions(hist.window)
         assert win_u.tolist() == [[0.25, 0.25, 0.5]]
         assert win_m.tolist() == [[0.0, 0.0, 0.0]]  # zero-channel frame
 
@@ -137,6 +139,30 @@ class TestLstmPredictions:
             record_observation(h2, obs(t, u=(2, 4, 6), m=(10, 12, 14)))
         assert predict_backlog(pred, h1) == predict_backlog(pred, h2)
 
+    def test_several_histories_in_one_pass(self, rng):
+        model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(6, rng=rng, scale=1.0)
+        model_u.b_out = model_m.b_out = 0.3
+        pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
+        hists = [ObservationHistory(4) for _ in range(5)]
+        for t in range(6):
+            for hist in hists:
+                u, m = rng.integers(0, 9, size=3), rng.integers(0, 30, size=3)
+                record_observation(hist, obs(t, u=tuple(u), m=tuple(m)))
+        windows = state_fractions([o for h in hists for o in h.window], lanes=5)
+        assert np.array_equal(windows, np.stack([state_fractions(h.window) for h in hists]))
+        estimates = predict_backlogs(pred, hists)
+        assert estimates == [predict_backlog(pred, h) for h in hists]
+        assert len(set(estimates)) > 1
+
+    def test_histories_of_unequal_length_rejected(self, rng):
+        pred = self._predictor(rng)
+        short, long = ObservationHistory(4), ObservationHistory(4)
+        for t in range(2):
+            record_observation(long, obs(t))
+        record_observation(short, obs(0))
+        with pytest.raises(ValueError):
+            predict_backlogs(pred, [long, short])
+
     def test_one_copy_of_the_weights(self, rng):
         pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
         assert np.shares_memory(pred.model_u.w_x, pred.stack.w_x)
@@ -208,7 +234,7 @@ class TestSerialization:
         hist = ObservationHistory(8)
         for t in range(8):
             record_observation(hist, obs(t, u=(t % 3, 1, 2), m=(10, t, 34)))
-        window = hist.normalized_window()
+        window = state_fractions(hist.window)
         raw_m = lstm_forward(pred.stack, window)[1]
         assert raw_m == pytest.approx(lstm_forward(model_m, window[1]), rel=0, abs=1e-12)
         path = tmp_path / "m.model"
