@@ -2,14 +2,15 @@
 """Train the backlog predictor on simulated traces and watch it track truth.
 
 The station only sees per-frame channel-state triplets (success / collision /
-idle counts per mode). Two small recurrent models, one per use mode, learn to
-map a 10-frame window of those triplets to the current number of active UEs.
-The moment-matching baseline inverts the latest idle fraction instead.
+idle counts per mode), read from each frame's FrameResult. Two small recurrent
+models, one per use mode, learn to map a history of the last 10 FrameResults
+to the current number of active UEs. The moment-matching baseline inverts the
+latest idle fraction instead.
 Takes around half a minute.
 """
 
 from rasim.engine import SimulationConfig
-from rasim.predictor import ObservationHistory, predict_backlog, record_observation
+from rasim.predictor import predict_backlog
 from rasim.traffic import TrafficConfig
 from rasim.training import generate_trace, train_backlog_predictor
 
@@ -28,11 +29,9 @@ print(f"  val   nmse: urllc={report.val_mse_u:.2e} mmtc={report.val_mse_m:.2e}")
 print(f"  naive nmse: urllc={report.naive_mse_u:.2e} mmtc={report.naive_mse_m:.2e}")
 
 print("\ntracking a fresh trace (true vs predicted active UEs):")
-obs, bu, bm = generate_trace(cfg, 40, seed=2024)
-hist = ObservationHistory(cfg.t_w)
+trace, bu, bm = generate_trace(cfg, 40, seed=2024)
 print(f"{'frame':>6} {'true u':>7} {'pred u':>7} {'true m':>7} {'pred m':>7}")
-for t, o in enumerate(obs):
-    if len(hist) == cfg.t_w and t % 3 == 0:
-        pred = predict_backlog(predictor, hist)
+for t in range(cfg.t_w, len(trace)):
+    if t % 3 == 0:  # estimated from the history of frames t - t_w .. t - 1
+        pred = predict_backlog(predictor, trace[t - cfg.t_w : t])
         print(f"{t:>6} {bu[t]:>7} {pred.k_hat_u:>7} {bm[t]:>7} {pred.k_hat_m:>7}")
-    record_observation(hist, o)

@@ -15,14 +15,11 @@ from .lstm import LstmModel, init_lstm, lstm_forward, lstm_train
 from .metrics import channel_loading, normalized_throughput, predictor_mse
 from .predictor import (
     LstmPredictor,
-    Observation,
-    ObservationHistory,
     PredictionResult,
     load_predictor,
     naive_predict,
     perfect_predict,
     predict_backlog,
-    record_observation,
     save_predictor,
 )
 from .slicing import (

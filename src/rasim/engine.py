@@ -13,6 +13,7 @@ at selection time.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -24,16 +25,14 @@ from .acb import AcbPolicy, collided_survivors
 from .errors import ConfigError, check_scalar_fields
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
+    FrameResult,
     LstmPredictor,
-    Observation,
-    ObservationHistory,
     check_predictor_matches,
     cold_start_prior,
     load_predictor,
     naive_predict,
     perfect_predict,
     predict_backlogs,
-    record_observation,
 )
 from .slicing import GridConfig, fixed_grid_slice, mmtc_room, urllc_room
 from .traffic import (
@@ -96,7 +95,7 @@ class SimulationConfig:
     frames: int = 1200
     realizations: int = 1
     seed: int = 1
-    t_w: int = 10                # observation window length
+    t_w: int = 10                # frames of history the naive and lstm predictors keep
     steady_fraction: float = 0.2
 
     def __post_init__(self):
@@ -118,54 +117,6 @@ class SimulationConfig:
     def steady_start(self) -> int:
         """First frame of the steady-state window, the final steady_fraction of the run."""
         return int(self.frames * (1.0 - self.steady_fraction))
-
-
-class FrameResult(NamedTuple):
-    """One frame's counts, per mode: the backlog, the estimate, the slice and its outcome.
-
-    The frame's active UEs are its new arrivals plus its retries; after
-    barring, served channels carried one UE, collided ones two or more, and
-    the other channels of the slice ended idle.
-    """
-
-    frame_index: int
-    new_u: int
-    new_m: int
-    retry_u: int
-    retry_m: int
-    k_hat_u: int
-    k_hat_m: int
-    l_u: int
-    l_m: int
-    served_u: int
-    served_m: int
-    collided_u: int
-    collided_m: int
-
-    @property
-    def active_u(self) -> int:
-        return self.new_u + self.retry_u
-
-    @property
-    def active_m(self) -> int:
-        return self.new_m + self.retry_m
-
-    @property
-    def failed_u(self) -> int:
-        return self.active_u - self.served_u
-
-    @property
-    def failed_m(self) -> int:
-        return self.active_m - self.served_m
-
-    @property
-    def observation(self) -> Observation:
-        """What the base station saw: success, collision and idle channels per mode."""
-        return Observation(
-            self.served_u, self.collided_u, self.l_u - self.served_u - self.collided_u,
-            self.served_m, self.collided_m, self.l_m - self.served_m - self.collided_m,
-            frame_index=self.frame_index,
-        )
 
 
 @functools.cache
@@ -209,12 +160,11 @@ class SimulationState:
         self.cfg = cfg
         self.active_u = self.active_m = 0  # the current frame's backlog
         self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
-        self.hist = ObservationHistory(cfg.t_w)
         self.frame = 0
         self.profile = urllc_activation_profile(cfg.traffic)
-        predictor = parse_predictor(cfg.predictor)
-        self._predictor = predictor.kind
-        self.records = predictor.kind != PERFECT  # only naive and lstm read the history
+        self._predictor = parse_predictor(cfg.predictor).kind
+        # the last t_w frames, which only naive and lstm read
+        self.hist = None if self._predictor == PERFECT else deque(maxlen=cfg.t_w)
         self.lstm_estimate = None  # this frame's LSTM estimate, from the history
         slicer = parse_slicer(cfg.slicer)
         self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
@@ -229,7 +179,7 @@ class SimulationState:
         """(k_hat_u, k_hat_m), this frame's backlog estimate."""
         if self._predictor == PERFECT:
             return perfect_predict(self.active_u, self.active_m)
-        if not len(self.hist):
+        if not self.hist:
             return self._prior  # cold start: long-run mean arrivals
         if self._predictor == NAIVE:
             traffic = self.cfg.traffic
@@ -267,8 +217,8 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
         t, new_u, new_m, retry_u, retry_m, *pred,
         l_u, l_m, served_u, served_m, collided_u, collided_m,
     )
-    if sim.records:
-        record_observation(sim.hist, result.observation)
+    if sim.hist is not None:
+        sim.hist.append(result)
     sim.failed_u = active_u - served_u
     sim.failed_m = active_m - served_m
     sim.frame += 1

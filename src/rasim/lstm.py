@@ -223,15 +223,15 @@ def lstm_loss_and_grads(model: LstmModel, x: np.ndarray, targets: np.ndarray):
     return loss, grads
 
 
-def _clip_global_norm(grads: dict, max_norm: float):
-    """Scale each model's gradients (leading axis) to a global norm of at most max_norm."""
-    for c in range(len(grads["b_out"])):
-        total = np.sqrt(sum(float(np.sum(g[c] ** 2)) for g in grads.values()))
-        if total > max_norm > 0:
-            scale = max_norm / total
-            for g in grads.values():
-                g[c] *= scale
-    return grads
+CLIP_NORM = 1.0  # the global gradient norm of each model is clipped to this
+
+
+def _clip_global_norm(grads: dict):
+    """Scale each model's gradients (leading axis) to a global norm of at most CLIP_NORM."""
+    total = np.sqrt(sum(np.square(g.reshape(len(g), -1)).sum(axis=1) for g in grads.values()))
+    scale = CLIP_NORM / np.maximum(total, CLIP_NORM)
+    for g in grads.values():
+        g *= scale.reshape(-1, *(1,) * (g.ndim - 1))
 
 
 def lstm_train(
@@ -241,7 +241,6 @@ def lstm_train(
     rng=None,
     hidden_size: int = 20,
     batch_size: int = 32,
-    clip_norm: float = 1.0,
     model=None,
 ):
     """Fit k models in lockstep, as one stack; returns (k models, k epoch-loss lists).
@@ -291,7 +290,7 @@ def lstm_train(
                     f"training diverged at epoch {epoch}: model {c} loss {float(loss[c])!r} "
                     f"(lr={learning_rate}, batch={batch_size})"
                 )
-            _clip_global_norm(grads, clip_norm)
+            _clip_global_norm(grads)
             stack.w_x -= learning_rate * grads["w_x"]
             stack.w_h -= learning_rate * grads["w_h"]
             stack.b -= learning_rate * grads["b"]

@@ -1,19 +1,20 @@
 """Backlog estimation from observed channel states.
 
 The base station never sees the backlog directly, only how many channels of
-each mode ended a frame in success, collision or idle state. These triplets
-form the observation; a sliding window of them is the history a predictor
-works from. Three predictors are provided: the trained LSTM pair (one model
-per use mode), a moment-matching baseline that inverts the idle fraction, and
-the ground-truth oracle used for the perfect-knowledge experiments.
+each mode ended a frame in success, collision or idle state. Each frame's
+outcome is one FrameResult, which holds the served and collided channel
+counts and the slice, so the idle count is l - served - collided. A lane's
+history is its last t_w FrameResults, oldest first. Three predictors are
+provided: the trained LSTM pair (one model per use mode), a moment-matching
+baseline that inverts the idle fraction of the last frame, and the
+ground-truth oracle used for the perfect-knowledge experiments.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -26,78 +27,71 @@ from .traffic import TrafficConfig, expected_arrivals_per_frame
 MODEL_FORMAT_VERSION = "rasim-lstm v1"
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Per-mode channel-state counts (success, collision, idle) for one frame."""
+class FrameResult(NamedTuple):
+    """One frame's counts, per mode: the backlog, the estimate, the slice and its outcome.
 
-    v_s_u: int
-    v_c_u: int
-    v_i_u: int
-    v_s_m: int
-    v_c_m: int
-    v_i_m: int
-    frame_index: int
-
-    @property
-    def l_u(self) -> int:
-        return self.v_s_u + self.v_c_u + self.v_i_u
-
-    @property
-    def l_m(self) -> int:
-        return self.v_s_m + self.v_c_m + self.v_i_m
-
-    def triplet(self, mode: str) -> tuple[int, int, int]:
-        if mode == "urllc":
-            return self.v_s_u, self.v_c_u, self.v_i_u
-        return self.v_s_m, self.v_c_m, self.v_i_m
-
-
-class ObservationHistory:
-    """Sliding window of the last t_w observations, oldest first."""
-
-    def __init__(self, t_w: int = 10):
-        if t_w < 1:
-            raise ValueError("window size must be >= 1")
-        self.t_w = t_w
-        self._window: deque[Observation] = deque(maxlen=t_w)
-
-    def __len__(self):
-        return len(self._window)
-
-    @property
-    def window(self) -> tuple[Observation, ...]:
-        return tuple(self._window)
-
-    @property
-    def last(self) -> Observation:
-        return self._window[-1]
-
-
-_COUNTS = attrgetter("v_s_u", "v_c_u", "v_i_u", "v_s_m", "v_c_m", "v_i_m")
-
-
-def state_fractions(observations, lanes: int = 0) -> np.ndarray:
-    """(2, frames, 3) success/collision/idle fractions per class, URLLC first.
-
-    Each frame's triplet is divided by that frame's channel count of the
-    class; a frame without channels of the class gives a zero row. Given
-    lanes, the observations are that many equally long windows, one after
-    another, and the result is (lanes, 2, frames, 3).
+    The frame's active UEs are its new arrivals plus its retries; after
+    barring, served channels carried one UE, collided ones two or more, and
+    the other channels of the slice ended idle.
     """
-    counts = np.array(list(map(_COUNTS, observations)), dtype=float)
-    counts = counts.reshape(*((lanes,) if lanes else ()), -1, 2, 3).swapaxes(-3, -2)
-    total = counts.sum(axis=-1, keepdims=True)
-    return np.divide(counts, total, out=np.zeros(counts.shape), where=total > 0)
+
+    frame_index: int
+    new_u: int
+    new_m: int
+    retry_u: int
+    retry_m: int
+    k_hat_u: int
+    k_hat_m: int
+    l_u: int
+    l_m: int
+    served_u: int
+    served_m: int
+    collided_u: int
+    collided_m: int
+
+    @property
+    def active_u(self) -> int:
+        return self.new_u + self.retry_u
+
+    @property
+    def active_m(self) -> int:
+        return self.new_m + self.retry_m
+
+    @property
+    def failed_u(self) -> int:
+        return self.active_u - self.served_u
+
+    @property
+    def failed_m(self) -> int:
+        return self.active_m - self.served_m
 
 
-def record_observation(hist: ObservationHistory, obs: Observation) -> ObservationHistory:
-    """Append obs to the window, evicting the oldest entry when full."""
-    if len(hist) and obs.frame_index <= hist.last.frame_index:
-        raise ValueError(
-            f"observation frame {obs.frame_index} not after {hist.last.frame_index}"
-        )
-    hist._window.append(obs)
-    return hist
+# a FrameResult's served, collided and channel counts, URLLC then mMTC
+_OUTCOME = itemgetter(*(
+    FrameResult._fields.index(f"{name}_{mode}")
+    for mode in "um"
+    for name in ("served", "collided", "l")
+))
+
+
+def state_fractions(histories) -> np.ndarray:
+    """(lanes, 2, frames, 3) success/collision/idle fractions per class, URLLC first.
+
+    histories are equally long sequences of FrameResults, one per lane, read
+    in one array conversion. Each frame's (served, collided, idle) triplet is
+    divided by that frame's channel count of the class; a frame without
+    channels of the class gives a zero row.
+    """
+    lanes, frames = len(histories), len(histories[0])
+    if any(len(rows) != frames for rows in histories):
+        raise ValueError("histories must be equally long")
+    values = chain.from_iterable(map(_OUTCOME, chain.from_iterable(histories)))
+    counts = np.fromiter(values, float, count=lanes * frames * 6).reshape(lanes, frames, 2, 3)
+    channels = np.maximum(counts[..., 2:], 1.0)  # a class without channels has no counts
+    counts[..., 2] -= counts[..., 0]
+    counts[..., 2] -= counts[..., 1]  # the idle channels
+    counts /= channels
+    return counts.swapaxes(1, 2)
 
 
 class PredictionResult(NamedTuple):
@@ -151,24 +145,22 @@ def estimate_from_idle(idle_count: int, channels: int, population: int) -> int:
 
 
 def naive_predict(
-    hist: ObservationHistory, population_u: int, population_m: int, prior: PredictionResult
+    rows, population_u: int, population_m: int, prior: PredictionResult
 ) -> PredictionResult:
-    """Moment-based baseline using only the latest observation per mode.
+    """Moment-based baseline using only the last FrameResult of a history.
 
     A mode without channels in that frame takes ``prior``: 0 would keep it
     without channels, and so unobserved, for good.
     """
-    if not len(hist):
+    if not rows:
         raise ValueError("history is empty")
-    obs = hist.last
+    counts = _OUTCOME(rows[-1])
     out = []
-    for mode, pop, fallback in (
-        ("urllc", population_u, prior.k_hat_u),
-        ("mmtc", population_m, prior.k_hat_m),
+    for (served, collided, channels), pop, fallback in zip(
+        (counts[:3], counts[3:]), (population_u, population_m), prior
     ):
-        s, c, i = obs.triplet(mode)
-        total = s + c + i
-        out.append(estimate_from_idle(i, total, pop) if total else fallback)
+        idle = channels - served - collided
+        out.append(estimate_from_idle(idle, channels, pop) if channels else fallback)
     return PredictionResult(out[0], out[1])
 
 
@@ -233,27 +225,23 @@ def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[Predi
     ]
 
 
-def predict_backlogs(predictor: LstmPredictor, hists) -> list[PredictionResult]:
+def predict_backlogs(predictor: LstmPredictor, histories) -> list[PredictionResult]:
     """The estimate of each of several equally long histories, in one forward pass.
 
     Each equals predict_backlog of its history alone, exactly.
     """
-    length = len(hists[0])
-    if not length:
+    if not histories[0]:
         raise ValueError("history is empty")
-    if any(len(hist) != length for hist in hists):
-        raise ValueError("histories must be equally long")
-    observations = [obs for hist in hists for obs in hist._window]
-    return predict_windows(predictor, state_fractions(observations, len(hists)))
+    return predict_windows(predictor, state_fractions(histories))
 
 
-def predict_backlog(predictor: LstmPredictor, hist: ObservationHistory) -> PredictionResult:
-    """Run both class models over the window in one pass; round and clamp to population."""
-    return predict_backlogs(predictor, (hist,))[0]
+def predict_backlog(predictor: LstmPredictor, rows) -> PredictionResult:
+    """Run both class models over one history in one pass; round and clamp to population."""
+    return predict_backlogs(predictor, (rows,))[0]
 
 
-def training_pairs(observations, backlog_u, backlog_m, t_w, population_u, population_m):
-    """Turn one simulated trace of more than t_w frames into windows and targets.
+def training_pairs(trace, backlog_u, backlog_m, t_w, population_u, population_m):
+    """Turn one simulated trace of more than t_w FrameResults into windows and targets.
 
     Returns x of shape (2, n, t_w, 3) and y of shape (2, n), URLLC first,
     with n = frames - t_w: window j holds the state fractions of frames
@@ -261,11 +249,11 @@ def training_pairs(observations, backlog_u, backlog_m, t_w, population_u, popula
     j + t_w, matching what the predictor must do online. x is a read-only
     view of the trace's fraction table.
     """
-    if not (len(observations) == len(backlog_u) == len(backlog_m)):
+    if not (len(trace) == len(backlog_u) == len(backlog_m)):
         raise ValueError("trace columns must have equal length")
-    if not 0 < t_w < len(observations):
-        raise ValueError(f"a trace of {len(observations)} frames has no window of t_w={t_w}")
-    fractions = state_fractions(observations)[:, :-1]
+    if not 0 < t_w < len(trace):
+        raise ValueError(f"a trace of {len(trace)} frames has no window of t_w={t_w}")
+    fractions = state_fractions([trace])[0, :, :-1]
     x = sliding_window_view(fractions, t_w, axis=1).swapaxes(-1, -2)
     backlog = np.array([backlog_u[t_w:], backlog_m[t_w:]], dtype=float)
     return x, backlog / np.array([[population_u], [population_m]])

@@ -1,7 +1,7 @@
 """Offline training of the backlog predictor from simulated traces.
 
 Traces are produced by the grant-free engine (no barring round) so the
-observations reflect raw contention, then cut into (window, next backlog)
+channel states reflect raw contention, then cut into (window, next backlog)
 pairs per use mode. Validation always happens on a trace the models never
 saw, and the moment-matching baseline is scored on the same held-out frames
 for a like-for-like comparison.
@@ -20,17 +20,15 @@ from .lstm import lstm_train
 from .metrics import predictor_mse
 from .predictor import (
     LstmPredictor,
-    ObservationHistory,
     cold_start_prior,
     naive_predict,
     predict_windows,
-    record_observation,
     training_pairs,
 )
 
 
 def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
-    """Grant-free trace: per-frame observations and true per-mode backlogs."""
+    """Grant-free trace: its FrameResults and true per-mode backlogs."""
     trace_cfg = dataclasses.replace(
         cfg,
         acb=type(cfg.acb)("gf"),
@@ -39,10 +37,9 @@ def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
         seed=seed,
     )
     results = run_simulation(trace_cfg)
-    observations = [fr.observation for fr in results]
     backlog_u = [fr.active_u for fr in results]
     backlog_m = [fr.active_m for fr in results]
-    return observations, backlog_u, backlog_m
+    return results, backlog_u, backlog_m
 
 
 @dataclass
@@ -63,24 +60,24 @@ def train_backlog_predictor(
     epochs: int = 100,
     hidden_size: int = 20,
     learning_rate: float = 1e-2,
-    val_samples: int | None = None,
 ) -> tuple[LstmPredictor, TrainingReport]:
     """Train both class models and score them against the naive baseline.
 
     Sample counts refer to usable windows; the generated traces are longer by
-    the warm-up window. Both models train in lockstep, as one stack, each
-    from its own generator. Everything is seeded from cfg.seed, so the same
-    config yields byte-identical serialized models.
+    the warm-up window, and the held-out trace has a fifth as many windows
+    (at least one). Both models train in lockstep, as one stack, each from
+    its own generator. Everything is seeded from cfg.seed, so the same config
+    yields byte-identical serialized models.
     """
     if samples < 1:
         raise ConfigError("need at least one training sample")
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
     tc = cfg.traffic
-    val_samples = val_samples or max(1, samples // 5)
+    val_samples = max(1, samples // 5)
 
-    obs, bu, bm = generate_trace(cfg, samples + cfg.t_w, seed=cfg.seed)
-    x, y = training_pairs(obs, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
+    trace, bu, bm = generate_trace(cfg, samples + cfg.t_w, seed=cfg.seed)
+    x, y = training_pairs(trace, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
 
     rngs = [
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(key,)))
@@ -91,8 +88,8 @@ def train_backlog_predictor(
     )
     predictor = LstmPredictor(model_u, model_m, tc.k_u, tc.k_m, cfg.t_w)
 
-    v_obs, v_bu, v_bm = generate_trace(cfg, val_samples + cfg.t_w, seed=cfg.seed + 7919)
-    lstm_pred, naive_pred, truth = _score_on_trace(predictor, cfg, v_obs, v_bu, v_bm)
+    v_trace, v_bu, v_bm = generate_trace(cfg, val_samples + cfg.t_w, seed=cfg.seed + 7919)
+    lstm_pred, naive_pred, truth = _score_on_trace(predictor, cfg, v_trace, v_bu, v_bm)
     report = TrainingReport(
         train_mse_u=hist_u[-1],
         train_mse_m=hist_m[-1],
@@ -106,20 +103,18 @@ def train_backlog_predictor(
     return predictor, report
 
 
-def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, obs, bu, bm):
+def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace, bu, bm):
     """Per-frame predictions of both estimators over one held-out trace.
 
     Every frame after the first t_w is predicted from the t_w frames before
     it; the LSTM scores all those windows as lanes of one forward pass.
     """
     tc = cfg.traffic
-    windows, _ = training_pairs(obs, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
+    windows, _ = training_pairs(trace, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
     lstm_est = predict_windows(predictor, windows.swapaxes(0, 1))
     prior = cold_start_prior(tc)
-    hist = ObservationHistory(1)  # the naive estimate reads the last frame only
-    naive_est = []
-    for o in obs[cfg.t_w - 1 : -1]:
-        naive_est.append(naive_predict(record_observation(hist, o), tc.k_u, tc.k_m, prior))
+    # the naive estimate reads the last frame only
+    naive_est = [naive_predict((fr,), tc.k_u, tc.k_m, prior) for fr in trace[cfg.t_w - 1 : -1]]
     lstm_pred = {"u": [e.k_hat_u for e in lstm_est], "m": [e.k_hat_m for e in lstm_est]}
     naive_pred = {"u": [e.k_hat_u for e in naive_est], "m": [e.k_hat_m for e in naive_est]}
     truth = {"u": bu[cfg.t_w :], "m": bm[cfg.t_w :]}

@@ -17,11 +17,12 @@ from rasim.engine import (
     lane_blocks,
     realization_metrics,
     realization_seed,
+    run_lanes,
     run_monte_carlo,
     run_simulation,
 )
 from rasim.metrics import mean_and_stderr
-from rasim.predictor import PredictionResult
+from rasim.predictor import PredictionResult, cold_start_prior
 from rasim.slicing import GridConfig, maxrect_slice
 
 
@@ -153,12 +154,10 @@ class TestFrames:
     def test_observation_sums_match_plan(self):
         cfg = make_config(frames=40, slicer="counts:3,20")
         for fr in run_simulation(cfg):
-            o = fr.observation
-            assert (o.l_u, o.l_m) == (fr.l_u, fr.l_m) == (3, 20)
-            assert min(o.v_s_u, o.v_c_u, o.v_i_u, o.v_s_m, o.v_c_m, o.v_i_m) >= 0
-            assert (o.v_s_u, o.v_c_u, o.v_s_m, o.v_c_m) == (
-                fr.served_u, fr.collided_u, fr.served_m, fr.collided_m
-            )
+            assert (fr.l_u, fr.l_m) == (3, 20)
+            idle_u = fr.l_u - fr.served_u - fr.collided_u
+            idle_m = fr.l_m - fr.served_m - fr.collided_m
+            assert min(fr.served_u, fr.collided_u, idle_u, fr.served_m, fr.collided_m, idle_m) >= 0
 
     def test_conservation_per_frame(self):
         cfg = make_config(frames=60, slicer="maxrect", predictor="perfect", seed=9)
@@ -190,10 +189,10 @@ class TestFrames:
         # a served channel holds one UE, a collided one at least two
         cfg = make_config(frames=30, slicer="counts:2,5", acb=AcbPolicy("opt-inv"))
         for fr in run_simulation(cfg):
-            o = fr.observation
-            assert (o.l_u, o.l_m) == (fr.l_u, fr.l_m) == (2, 5)
-            assert o.v_s_u + 2 * o.v_c_u <= fr.active_u
-            assert o.v_s_m + 2 * o.v_c_m <= fr.active_m
+            assert (fr.l_u, fr.l_m) == (2, 5)
+            assert fr.served_u + fr.collided_u <= fr.l_u and fr.served_m + fr.collided_m <= fr.l_m
+            assert fr.served_u + 2 * fr.collided_u <= fr.active_u
+            assert fr.served_m + 2 * fr.collided_m <= fr.active_m
 
     def test_barred_to_empty_counts_as_idle(self):
         # force heavy barring: static factor 0 bars every collision completely
@@ -203,9 +202,8 @@ class TestFrames:
             seed=11,
         )
         for fr in run_simulation(cfg):
-            o = fr.observation
-            assert o.v_c_m == 0  # all barred away: observed idle, not collision
-            assert o.v_s_m + o.v_i_m == 2
+            assert fr.collided_m == 0  # all barred away: observed idle, not collision
+            assert fr.l_m == 2  # served and idle channels
         # a channel with two or more contenders ends idle; a singleton is served
         pol = AcbPolicy("static", 0.0)
         for seed in range(300):
@@ -242,7 +240,9 @@ class TestDeterminism:
         b = run_simulation(cfg)
         assert len(a) == len(b) == 50
         for fa, fb in zip(a, b):
-            assert fa.observation == fb.observation
+            assert (fa.served_u, fa.collided_u, fa.served_m, fa.collided_m) == (
+                fb.served_u, fb.collided_u, fb.served_m, fb.collided_m
+            )
             assert (fa.active_u, fa.active_m) == (fb.active_u, fb.active_m)
             assert fa == fb  # every field, prediction and plan included
 
@@ -358,6 +358,64 @@ class TestPredictorsInTheLoop:
         cfg = make_config(frames=15, slicer="maxrect", predictor=f"lstm:{path}", seed=3)
         results = run_simulation(cfg)
         assert len(results) == 15
+
+    @staticmethod
+    def _lanes(cfg, lanes=3):
+        """Each lane's frames, lane by lane: cfg run as `lanes` lanes in lockstep."""
+        rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in range(lanes)]
+        return [list(frames) for frames in zip(*run_lanes(cfg, rngs))]
+
+    def test_lstm_estimate_reads_the_lanes_last_t_w_frames(self, tmp_path):
+        from rasim.lstm import init_lstm
+        from rasim.predictor import LstmPredictor, predict_windows, save_predictor
+
+        rng = np.random.default_rng(5)
+        model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
+        model_u.b_out = model_m.b_out = 0.2  # estimates that follow the window
+        pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
+        path = tmp_path / "m.model"
+        save_predictor(pred, path)
+        cfg = make_config(frames=25, t_w=4, slicer="maxrect", predictor=f"lstm:{path}", seed=8)
+        prior = cold_start_prior(cfg.traffic)
+
+        def fractions(fr):
+            rows = []
+            for served, collided, channels in (
+                (fr.served_u, fr.collided_u, fr.l_u), (fr.served_m, fr.collided_m, fr.l_m)
+            ):
+                idle = channels - served - collided
+                rows.append([n / channels if channels else 0.0 for n in (served, collided, idle)])
+            return rows
+
+        estimates = set()
+        for frames in self._lanes(cfg):
+            assert (frames[0].k_hat_u, frames[0].k_hat_m) == prior
+            for t in range(1, cfg.frames):
+                rows = [fractions(fr) for fr in frames[max(0, t - cfg.t_w) : t]]
+                window = np.array(rows).swapaxes(0, 1)  # (2, frames, 3), URLLC first
+                want = predict_windows(pred, window[None])[0]
+                assert (frames[t].k_hat_u, frames[t].k_hat_m) == want, t
+                estimates.add(want)
+        assert len(estimates) > 3
+
+    def test_naive_estimate_reads_the_lanes_last_frame(self):
+        from rasim.predictor import estimate_from_idle
+
+        cfg = make_config(frames=25, t_w=4, slicer="maxrect", predictor="naive", seed=8)
+        tc = cfg.traffic
+        prior = cold_start_prior(tc)
+        for frames in self._lanes(cfg):
+            assert (frames[0].k_hat_u, frames[0].k_hat_m) == prior
+            for prev, fr in zip(frames, frames[1:]):
+                want = [
+                    estimate_from_idle(channels - served - collided, channels, pop) if channels
+                    else fallback
+                    for served, collided, channels, pop, fallback in (
+                        (prev.served_u, prev.collided_u, prev.l_u, tc.k_u, prior.k_hat_u),
+                        (prev.served_m, prev.collided_m, prev.l_m, tc.k_m, prior.k_hat_m),
+                    )
+                ]
+                assert [fr.k_hat_u, fr.k_hat_m] == want, fr.frame_index
 
     def test_unknown_predictor_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rasim.lstm import (
+    CLIP_NORM,
     LstmModel,
+    _clip_global_norm,
     _forward_batch,
     init_lstm,
     lstm_forward,
@@ -146,6 +148,30 @@ class TestTraining:
             lstm_train(
                 (np.ones((1, 1, 4, 3)), np.array([[0.5]])), epochs=2, rng=[rng], model=[bad]
             )
+
+    def test_clipping_equals_the_per_model_loop_exactly(self, rng):
+        def clip_each(grads):  # the reference: one model's norm and scale at a time
+            for c in range(len(grads["b_out"])):
+                total = np.sqrt(sum(float(np.sum(g[c] ** 2)) for g in grads.values()))
+                if total > CLIP_NORM:
+                    for g in grads.values():
+                        g[c] *= CLIP_NORM / total
+
+        for case in range(300):
+            k, h = int(rng.integers(1, 4)), int(rng.integers(1, 25))
+            shapes = {
+                "w_x": (4 * h, 3), "w_h": (4 * h, h), "b": (4 * h,), "w_out": (h,), "b_out": (1,)
+            }
+            scale = 10.0 ** rng.uniform(-4, 2)  # norms on both sides of the clip
+            grads = {name: rng.normal(size=(k, *shape)) * scale for name, shape in shapes.items()}
+            if case % 5 == 0:
+                for g in grads.values():
+                    g[0] = 0.0
+            want = {name: g.copy() for name, g in grads.items()}
+            clip_each(want)
+            _clip_global_norm(grads)
+            for name in grads:
+                assert np.array_equal(grads[name], want[name]), (case, name)
 
     def test_seeded_training_is_reproducible(self):
         data_rng = np.random.default_rng(3)

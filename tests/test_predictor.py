@@ -1,11 +1,15 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
+from conftest import make_config
+
+from rasim.engine import SimulationState, run_frame
 from rasim.lstm import LstmModel, _forward_batch, init_lstm, lstm_forward
 from rasim.predictor import (
+    FrameResult,
     LstmPredictor,
-    Observation,
-    ObservationHistory,
     PredictionResult,
     estimate_from_idle,
     invert_idle_fraction,
@@ -14,45 +18,37 @@ from rasim.predictor import (
     perfect_predict,
     predict_backlog,
     predict_backlogs,
-    record_observation,
     save_predictor,
     state_fractions,
     training_pairs,
 )
 
 
-def obs(t, u=(1, 2, 2), m=(10, 5, 34)):
-    return Observation(*u, *m, frame_index=t)
+def row(t, u=(1, 2, 2), m=(10, 5, 34)):
+    """Frame t's FrameResult, whose channels of each class ended (success, collision, idle)."""
+    return FrameResult(t, 0, 0, 0, 0, 0, 0, sum(u), sum(m), u[0], m[0], u[1], m[1])
 
 
 class TestHistory:
     def test_append_and_window_bound(self):
-        hist = ObservationHistory(t_w=10)
-        record_observation(hist, obs(0))
-        assert len(hist) == 1
-        for t in range(1, 12):
-            record_observation(hist, obs(t))
-        assert len(hist) == 10
-        assert hist.window[0].frame_index == 2  # two oldest evicted
+        cfg = make_config(predictor="naive", t_w=10, frames=12)
+        sim, rng = SimulationState(cfg), np.random.default_rng(4)
+        run_frame(sim, cfg, rng)
+        assert len(sim.hist) == 1
+        for _ in range(1, 12):
+            run_frame(sim, cfg, rng)
+        assert len(sim.hist) == 10
+        assert sim.hist[0].frame_index == 2  # two oldest evicted
 
-    def test_out_of_order_rejected(self):
-        hist = ObservationHistory()
-        record_observation(hist, obs(5))
-        with pytest.raises(ValueError):
-            record_observation(hist, obs(5))
-        with pytest.raises(ValueError):
-            record_observation(hist, obs(3))
-
-    def test_ordering_preserved_for_sparse_frames(self):
-        hist = ObservationHistory(t_w=4)
-        for t in (0, 3, 4, 9, 20):
-            record_observation(hist, obs(t))
-        assert [o.frame_index for o in hist.window] == [3, 4, 9, 20]
+    def test_perfect_lane_keeps_no_history(self):
+        cfg = make_config(predictor="perfect", frames=3)
+        sim, rng = SimulationState(cfg), np.random.default_rng(4)
+        for _ in range(3):
+            run_frame(sim, cfg, rng)
+        assert sim.hist is None
 
     def test_normalized_window(self):
-        hist = ObservationHistory(t_w=3)
-        record_observation(hist, obs(0, u=(1, 1, 2), m=(0, 0, 0)))
-        win_u, win_m = state_fractions(hist.window)
+        win_u, win_m = state_fractions([[row(0, u=(1, 1, 2), m=(0, 0, 0))]])[0]
         assert win_u.tolist() == [[0.25, 0.25, 0.5]]
         assert win_m.tolist() == [[0.0, 0.0, 0.0]]  # zero-channel frame
 
@@ -83,21 +79,19 @@ class TestNaive:
         assert estimate_from_idle(0, 54, 777) == 777
 
     def test_naive_predict_per_class(self):
-        hist = ObservationHistory()
-        record_observation(hist, obs(0, u=(0, 0, 5), m=(0, 54, 0)))
+        hist = [row(0, u=(0, 0, 5), m=(0, 54, 0))]
         pred = naive_predict(hist, 25, 1000, PredictionResult(2, 7))
         assert pred.k_hat_u == 0
         assert pred.k_hat_m == 1000  # saturated: no idle channels
 
     def test_mode_without_channels_takes_prior(self):
         # an unobserved mode must not read as empty, or it never gets channels again
-        hist = ObservationHistory()
-        record_observation(hist, obs(0, u=(0, 0, 0), m=(0, 0, 0)))
+        hist = [row(0, u=(0, 0, 0), m=(0, 0, 0))]
         assert naive_predict(hist, 25, 1000, PredictionResult(2, 7)) == PredictionResult(2, 7)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            naive_predict(ObservationHistory(), 25, 1000, PredictionResult(0, 0))
+            naive_predict([], 25, 1000, PredictionResult(0, 0))
 
 
 class TestLstmPredictions:
@@ -111,55 +105,46 @@ class TestLstmPredictions:
     def test_clamped_above_population(self, rng):
         # raw head output 1.2 clamps to 1.0, so the estimate is the population
         pred = self._predictor(rng, b_out_u=1.2, b_out_m=1.2)
-        hist = ObservationHistory(4)
-        record_observation(hist, obs(0))
-        res = predict_backlog(pred, hist)
+        res = predict_backlog(pred, [row(0)])
         assert (res.k_hat_u, res.k_hat_m) == (25, 1000)
 
     def test_rounding_and_scaling(self, rng):
         pred = self._predictor(rng, b_out_u=0.1, b_out_m=0.0301)
-        hist = ObservationHistory(4)
-        record_observation(hist, obs(0))
-        res = predict_backlog(pred, hist)
+        res = predict_backlog(pred, [row(0)])
         assert res.k_hat_u == round(0.1 * 25)
         assert res.k_hat_m == round(0.0301 * 1000)
 
     def test_empty_history_rejected(self, rng):
         pred = self._predictor(rng)
         with pytest.raises(ValueError):
-            predict_backlog(pred, ObservationHistory())
+            predict_backlog(pred, deque(maxlen=4))
 
     def test_invariant_to_channel_count_scale(self, rng):
         # doubling every raw count leaves the normalized window, and hence the
         # prediction, unchanged
         pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
-        h1, h2 = ObservationHistory(4), ObservationHistory(4)
-        for t in range(4):
-            record_observation(h1, obs(t, u=(1, 2, 3), m=(5, 6, 7)))
-            record_observation(h2, obs(t, u=(2, 4, 6), m=(10, 12, 14)))
+        h1 = [row(t, u=(1, 2, 3), m=(5, 6, 7)) for t in range(4)]
+        h2 = [row(t, u=(2, 4, 6), m=(10, 12, 14)) for t in range(4)]
         assert predict_backlog(pred, h1) == predict_backlog(pred, h2)
 
     def test_several_histories_in_one_pass(self, rng):
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(6, rng=rng, scale=1.0)
         model_u.b_out = model_m.b_out = 0.3
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
-        hists = [ObservationHistory(4) for _ in range(5)]
+        hists = [deque(maxlen=4) for _ in range(5)]
         for t in range(6):
             for hist in hists:
                 u, m = rng.integers(0, 9, size=3), rng.integers(0, 30, size=3)
-                record_observation(hist, obs(t, u=tuple(u), m=tuple(m)))
-        windows = state_fractions([o for h in hists for o in h.window], lanes=5)
-        assert np.array_equal(windows, np.stack([state_fractions(h.window) for h in hists]))
+                hist.append(row(t, u=tuple(map(int, u)), m=tuple(map(int, m))))
+        windows = state_fractions(hists)
+        assert np.array_equal(windows, np.concatenate([state_fractions([h]) for h in hists]))
         estimates = predict_backlogs(pred, hists)
         assert estimates == [predict_backlog(pred, h) for h in hists]
         assert len(set(estimates)) > 1
 
     def test_histories_of_unequal_length_rejected(self, rng):
         pred = self._predictor(rng)
-        short, long = ObservationHistory(4), ObservationHistory(4)
-        for t in range(2):
-            record_observation(long, obs(t))
-        record_observation(short, obs(0))
+        long, short = [row(0), row(1)], [row(0)]
         with pytest.raises(ValueError):
             predict_backlogs(pred, [long, short])
 
@@ -185,10 +170,10 @@ class TestLstmPredictions:
 
 class TestTrainingPairs:
     def test_window_precedes_target(self):
-        observations = [obs(t, u=(t, 0, 0), m=(0, 0, t)) for t in range(7)]
+        trace = [row(t, u=(t, 0, 0), m=(0, 0, t)) for t in range(7)]
         bu = [10 * t for t in range(7)]
         bm = [100 * t for t in range(7)]
-        x, y = training_pairs(observations, bu, bm, t_w=3, population_u=100, population_m=1000)
+        x, y = training_pairs(trace, bu, bm, t_w=3, population_u=100, population_m=1000)
         assert x.shape[1] == 4  # targets at t = 3..6
         first_window, first_target = x[0, 0], y[0, 0]
         assert first_window.shape == (3, 3)
@@ -198,11 +183,11 @@ class TestTrainingPairs:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            training_pairs([obs(0)], [1, 2], [1], 3, 10, 10)
+            training_pairs([row(0)], [1, 2], [1], 3, 10, 10)
 
     def test_trace_without_a_full_window_rejected(self):
         for frames in (0, 2, 3):
-            trace = [obs(t) for t in range(frames)]
+            trace = [row(t) for t in range(frames)]
             with pytest.raises(ValueError, match="t_w=3"):
                 training_pairs(trace, [1] * frames, [1] * frames, 3, 10, 10)
 
@@ -220,8 +205,7 @@ class TestSerialization:
         loaded = load_predictor(p1)
         assert loaded.population_u == 25 and loaded.population_m == 1000
         assert loaded.t_w == 8
-        hist = ObservationHistory(8)
-        record_observation(hist, obs(0))
+        hist = [row(0)]
         assert predict_backlog(loaded, hist) == predict_backlog(pred, hist)
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
@@ -231,10 +215,7 @@ class TestSerialization:
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=8)
         assert pred.stack.w_h.shape == (2, 20, 5)
         assert pred.model_m.hidden_size == 3
-        hist = ObservationHistory(8)
-        for t in range(8):
-            record_observation(hist, obs(t, u=(t % 3, 1, 2), m=(10, t, 34)))
-        window = state_fractions(hist.window)
+        window = state_fractions([[row(t, u=(t % 3, 1, 2), m=(10, t, 34)) for t in range(8)]])[0]
         raw_m = lstm_forward(pred.stack, window)[1]
         assert raw_m == pytest.approx(lstm_forward(model_m, window[1]), rel=0, abs=1e-12)
         path = tmp_path / "m.model"

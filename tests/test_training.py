@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_config
 
-from rasim.predictor import Observation, ObservationHistory, predict_backlog, record_observation
+from rasim.predictor import FrameResult, predict_backlog
 from rasim.training import generate_trace, train_backlog_predictor
 
 
@@ -22,9 +22,9 @@ def low_traffic_config(**kw):
 
 class TestTraceGeneration:
     def test_lengths_and_alignment(self):
-        obs, bu, bm = generate_trace(low_traffic_config(), frames=50, seed=1)
-        assert len(obs) == len(bu) == len(bm) == 50
-        assert [o.frame_index for o in obs] == list(range(50))
+        trace, bu, bm = generate_trace(low_traffic_config(), frames=50, seed=1)
+        assert len(trace) == len(bu) == len(bm) == 50
+        assert [fr.frame_index for fr in trace] == list(range(50))
 
     def test_trace_ignores_barring_and_predictor_settings(self):
         # traces are always grant-free with ground-truth demands, so the
@@ -59,9 +59,8 @@ class TestTrainBacklogPredictor:
         predictor, _ = train_backlog_predictor(
             low_traffic_config(), samples=250, epochs=40
         )
-        hist = ObservationHistory(10)
-        for t in range(10):
-            record_observation(hist, Observation(0, 0, 5, 0, 0, 49, frame_index=t))
+        # 5 URLLC and 49 mMTC channels, all idle
+        hist = [FrameResult(t, 0, 0, 0, 0, 0, 0, 5, 49, 0, 0, 0, 0) for t in range(10)]
         res = predict_backlog(predictor, hist)
         assert res.k_hat_m <= 0.02 * 500
 
