@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .acb import AcbPolicy, acb_factors, collided_survivors, parse_policy
+from .acb import AcbPolicy, collided_outcomes, parse_policy
 from .engine import (
     FrameResult,
     MonteCarloResult,
@@ -18,7 +18,6 @@ from .predictor import (
     PredictionResult,
     load_predictor,
     naive_predict,
-    perfect_predict,
     predict_backlog,
     save_predictor,
 )

@@ -5,6 +5,12 @@ channel and broadcasts a barring factor; every colliding UE draws a uniform
 number and proceeds only if it does not exceed the factor. A UE alone on its
 channel always proceeds.
 
+The frame needs only whether a collided channel ends with 0, 1 or more
+contenders, so the barring draw samples that outcome directly: one uniform
+per collided channel, against the closed-form probabilities that 0 or 1 of
+its k contenders pass a factor f, (1-f)^k and k f (1-f)^(k-1). This is the
+exact distribution of barring each contender on its own.
+
 Two "optimal" flavours are shipped: ``opt-inv`` passes each of n colliders
 with probability 1/n (maximizes the chance that exactly one survives) and
 ``opt-lit`` with probability 1 - 1/n (the literal collision-thinning rule).
@@ -57,41 +63,40 @@ def parse_policy(text: str) -> AcbPolicy:
     return AcbPolicy(text)
 
 
-def collided_factors(policy: AcbPolicy, collided: np.ndarray) -> np.ndarray:
+def collided_factors(policy: AcbPolicy, loaded: list[int]) -> list[float]:
     """Pass probability of each channel holding the given count (>= 2) of contenders."""
     if policy.kind == GRANT_FREE:
-        return np.ones(collided.shape)
+        return [1.0] * len(loaded)
     if policy.kind == STATIC:
-        return np.full(collided.shape, policy.p)
+        return [policy.p] * len(loaded)
     if policy.kind == OPT_INVERSE:
-        return 1.0 / collided
-    return 1.0 - 1.0 / collided  # opt-lit
+        return [1.0 / k for k in loaded]
+    return [1.0 - 1.0 / k for k in loaded]  # opt-lit
 
 
-def acb_factors(policy: AcbPolicy, counts) -> np.ndarray:
-    """Pass probability broadcast per channel, given its contender count.
+def collided_outcomes(
+    policy: AcbPolicy, loaded: list[int], rng: np.random.Generator
+) -> tuple[int, int]:
+    """(alone, emptied): how many collided channels barring leaves with one UE, and with none.
 
-    Idle and singleton channels always get 1 regardless of policy.
-    """
-    counts = np.asarray(counts)
-    if counts.size and counts.min() < 0:
-        raise ValueError("contender count must be non-negative")
-    factors = np.ones(counts.shape)
-    loaded = counts >= 2
-    factors[loaded] = collided_factors(policy, counts[loaded])
-    return factors
-
-
-def collided_survivors(policy: AcbPolicy, loaded, rng: np.random.Generator):
-    """How many contenders of each collided channel pass the policy's factor.
-
-    ``loaded`` holds the contender count (>= 2) of each collided channel, in
-    channel order. Grant-free and a static factor of 1 bar nobody: they draw
-    nothing and return ``loaded`` itself. Every other policy draws one
-    binomial per channel, in channel order.
+    ``loaded`` holds the contender count k (>= 2) of each collided channel, in
+    channel order; a channel counted in neither stays collided. Grant-free and
+    a static factor of 1 bar nobody: they draw nothing and return (0, 0). Every
+    other policy draws one uniform u per channel, in channel order, in one
+    ``rng.random`` call. With the channel's factor f, it ends empty if
+    u < (1-f)^k, alone if u < (1-f)^k + k f (1-f)^(k-1), and collided
+    otherwise: the Binomial(k, f) survivor count, classed as 0, 1 or more.
     """
     if not policy.bars:
-        return loaded
-    if policy.kind == STATIC:
-        return rng.binomial(loaded, policy.p)
-    return rng.binomial(loaded, collided_factors(policy, loaded))
+        return 0, 0
+    alone = emptied = 0
+    draws = rng.random(len(loaded)).tolist()
+    for k, f, u in zip(loaded, collided_factors(policy, loaded), draws):
+        q = 1.0 - f
+        rest_barred = q ** (k - 1)  # one pow per channel: (1-f)^k is this times q
+        empty = rest_barred * q
+        if u < empty:
+            emptied += 1
+        elif u < empty + k * f * rest_barred:
+            alone += 1
+    return alone, emptied

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
-from .acb import AcbPolicy, collided_survivors
+from .acb import AcbPolicy, collided_outcomes
 from .errors import ConfigError, check_scalar_fields
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
@@ -31,7 +31,6 @@ from .predictor import (
     cold_start_prior,
     load_predictor,
     naive_predict,
-    perfect_predict,
     predict_backlogs,
 )
 from .slicing import GridConfig, fixed_grid_slice, mmtc_room, urllc_room
@@ -143,10 +142,9 @@ def contend_uniform(
     served = tally.count(1)
     collided = n_channels - served - tally.count(0)
     if collided and policy.bars:  # idle and singleton channels are never barred
-        survivors = collided_survivors(policy, counts[counts >= 2], rng).tolist()
-        alone = survivors.count(1)
+        alone, emptied = collided_outcomes(policy, [k for k in tally if k >= 2], rng)
         served += alone
-        collided -= alone + survivors.count(0)
+        collided -= alone + emptied
     return served, collided
 
 
@@ -178,7 +176,7 @@ class SimulationState:
     def predict(self) -> tuple[int, int]:
         """(k_hat_u, k_hat_m), this frame's backlog estimate."""
         if self._predictor == PERFECT:
-            return perfect_predict(self.active_u, self.active_m)
+            return self.active_u, self.active_m  # the true backlog
         if not self.hist:
             return self._prior  # cold start: long-run mean arrivals
         if self._predictor == NAIVE:
@@ -296,21 +294,17 @@ METRIC_COLUMNS = (
 
 
 def realization_metrics(
-    cfg: SimulationConfig, index: int | range, lstm: LstmPredictor | None = None
+    cfg: SimulationConfig, block: range, lstm: LstmPredictor | None = None
 ):
-    """Run realization `index` and reduce it to per-frame metric arrays, by name.
+    """Run the realizations of `block` as lanes in lockstep; per-frame metric arrays, by name.
 
-    Given a range of indices, those realizations run as lanes in lockstep and
-    each array is a (lanes, frames) stack, row i for realization index[i].
+    Each array is a (lanes, frames) stack, row i for realization block[i].
     """
-    block = isinstance(index, range)
-    rngs = [
-        np.random.default_rng(realization_seed(cfg.seed, i)) for i in (index if block else [index])
-    ]
+    rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in block]
     table = np.empty((len(rngs), cfg.frames, len(FrameResult._fields)))
     for frame, results in enumerate(run_lanes(cfg, rngs, lstm)):
         table[:, frame] = results
-    fr = FrameResult(*np.moveaxis(table if block else table[0], -1, 0))  # fields over the frames
+    fr = FrameResult(*np.moveaxis(table, -1, 0))  # fields over the lanes and frames
     active_u, active_m = fr.active_u, fr.active_m
     columns = (
         normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m),

@@ -6,8 +6,8 @@ outcome is one FrameResult, which holds the served and collided channel
 counts and the slice, so the idle count is l - served - collided. A lane's
 history is its last t_w FrameResults, oldest first. Three predictors are
 provided: the trained LSTM pair (one model per use mode), a moment-matching
-baseline that inverts the idle fraction of the last frame, and the
-ground-truth oracle used for the perfect-knowledge experiments.
+baseline that inverts the idle fraction of the last frame, and, for the
+perfect-knowledge experiments, the true backlog, which the engine reads itself.
 """
 
 from __future__ import annotations
@@ -107,11 +107,6 @@ def cold_start_prior(cfg: TrafficConfig) -> PredictionResult:
     return PredictionResult(
         max(round(mean_u), min(cfg.k_u, 1)), max(round(mean_m), min(cfg.k_m, 1))
     )
-
-
-def perfect_predict(active_u: int, active_m: int) -> tuple[int, int]:
-    """Ground-truth backlog, for perfect-prediction experiments: a plain pair."""
-    return active_u, active_m
 
 
 def invert_idle_fraction(idle_fraction: float, channels: int) -> float:

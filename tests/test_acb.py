@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,30 @@ from scipy import stats
 
 from rasim.acb import (
     AcbPolicy,
-    acb_factors,
-    collided_survivors,
+    collided_factors,
+    collided_outcomes,
     parse_policy,
 )
+from rasim.engine import contend_uniform
+
+BARRING = [AcbPolicy("static", 0.4), AcbPolicy("opt-inv"), AcbPolicy("opt-lit")]
 
 
 def factor(policy, n):
-    return acb_factors(policy, [n])[0]
+    return collided_factors(policy, [n])[0]
+
+
+def assert_singletons_pass_and_idles_stay(policy, exact=False):
+    # same seed: the selection counts contend_uniform drew, before barring
+    for seed in range(200):
+        n = seed % 12
+        counts = np.random.default_rng(seed).multinomial(n, np.full(6, 1 / 6))
+        served, collided = contend_uniform(n, 6, policy, np.random.default_rng(seed))
+        singles, idles = np.count_nonzero(counts == 1), np.count_nonzero(counts == 0)
+        assert served >= singles  # no singleton is barred
+        assert 6 - served - collided >= idles  # no idle channel is taken
+        if exact:
+            assert served == singles
 
 
 class TestFactor:
@@ -22,34 +39,33 @@ class TestFactor:
 
     @pytest.mark.parametrize("kind", ["gf", "opt-inv", "opt-lit"])
     def test_singleton_always_passes(self, kind):
-        assert acb_factors(AcbPolicy(kind), [1, 0]).tolist() == [1.0, 1.0]
+        assert_singletons_pass_and_idles_stay(AcbPolicy(kind))
 
     def test_static_singleton_passes(self):
-        pol = AcbPolicy("static", 0.2)
-        assert acb_factors(pol, [1, 5, 0]).tolist() == [1.0, 0.2, 1.0]
+        assert collided_factors(AcbPolicy("static", 0.2), [5, 2]) == [0.2, 0.2]
+        # factor 0 empties every collided channel, and still serves each singleton
+        assert_singletons_pass_and_idles_stay(AcbPolicy("static", 0.0), exact=True)
 
     def test_inverse_rule(self):
-        assert acb_factors(AcbPolicy("opt-inv"), [4, 2, 1]) == pytest.approx([0.25, 0.5, 1.0])
+        assert collided_factors(AcbPolicy("opt-inv"), [4, 2]) == pytest.approx([0.25, 0.5])
 
     @pytest.mark.parametrize("kind", ["gf", "static", "opt-inv", "opt-lit"])
     def test_per_channel_factors_follow_the_rule(self, kind, rng):
         policy = AcbPolicy(kind, 0.3) if kind == "static" else AcbPolicy(kind)
-        counts = rng.integers(0, 9, size=300)
-        factors = acb_factors(policy, counts)
-        assert factors.shape == counts.shape
-        loaded = counts >= 2
-        k = counts[loaded].astype(float)
+        loaded = rng.integers(2, 9, size=300)
+        factors = collided_factors(policy, loaded.tolist())
+        assert len(factors) == loaded.size
+        k = loaded.astype(float)
         rule = {"gf": np.ones_like(k), "static": np.full_like(k, 0.3),
                 "opt-inv": 1.0 / k, "opt-lit": 1.0 - 1.0 / k}[kind]
-        assert np.array_equal(factors[loaded], rule)
-        assert np.all(factors[~loaded] == 1.0)
+        assert np.array_equal(factors, rule)
 
     def test_grant_free_always_one(self):
         assert factor(AcbPolicy("gf"), 50) == 1.0
 
-    def test_negative_count_rejected(self):
+    def test_negative_count_rejected(self, rng):
         with pytest.raises(ValueError):
-            acb_factors(AcbPolicy("gf"), [3, -1])
+            contend_uniform(-1, 4, AcbPolicy("gf"), rng)
 
     def test_parse(self):
         assert parse_policy("static:0.4") == AcbPolicy("static", 0.4)
@@ -65,44 +81,81 @@ class TestFactor:
 
 class TestRound:
     def test_degenerate_probabilities(self, rng):
-        loaded = np.array([5, 5, 2])
-        assert collided_survivors(AcbPolicy("static", 1.0), loaded, rng).tolist() == [5, 5, 2]
-        assert collided_survivors(AcbPolicy("static", 0.0), loaded, rng).tolist() == [0, 0, 0]
+        loaded = [5, 5, 2]
+        assert collided_outcomes(AcbPolicy("static", 1.0), loaded, rng) == (0, 0)
+        assert collided_outcomes(AcbPolicy("static", 0.0), loaded, rng) == (0, 3)
 
     def test_pass_one_consumes_no_randomness(self, rng):
         state = rng.bit_generator.state
-        loaded = np.array([7, 2, 3])
+        loaded = [7, 2, 3]
         for policy in (AcbPolicy("gf"), AcbPolicy("static", 1.0)):
-            assert collided_survivors(policy, loaded, rng) is loaded
-            assert loaded.tolist() == [7, 2, 3]
+            assert collided_outcomes(policy, loaded, rng) == (0, 0)
+            assert loaded == [7, 2, 3]
         assert rng.bit_generator.state == state
 
     def test_single_survivor_frequency(self, rng):
         # binomial pmf oracle: P(exactly 1 of 10 at p=0.1) = 10 * 0.1 * 0.9^9
         trials = 100_000
-        draws = collided_survivors(AcbPolicy("static", 0.1), np.full(trials, 10), rng)
-        hits = np.count_nonzero(draws == 1)
+        alone, _ = collided_outcomes(AcbPolicy("static", 0.1), [10] * trials, rng)
         p = stats.binom.pmf(1, 10, 0.1)
         assert p == pytest.approx(10 * 0.1 * 0.9**9)
         se = math.sqrt(p * (1 - p) / trials)
-        assert abs(hits / trials - p) < 3 * se
+        assert abs(alone / trials - p) < 3 * se
 
     def test_survivors_bounded_and_mean(self, rng):
         for n, p in [(4, 0.3), (12, 0.8), (30, 0.05)]:
-            draws = collided_survivors(AcbPolicy("static", p), np.full(4000, n), rng)
-            assert draws.max() <= n and draws.min() >= 0
-            se = math.sqrt(n * p * (1 - p) / 4000)
-            assert abs(draws.mean() - n * p) < 3 * se
+            alone, emptied = collided_outcomes(AcbPolicy("static", p), [n] * 4000, rng)
+            assert 0 <= alone and 0 <= emptied and alone + emptied <= 4000
+            for seen, survivors in ((emptied, 0), (alone, 1)):
+                q = stats.binom.pmf(survivors, n, p)
+                se = math.sqrt(q * (1 - q) / 4000)
+                assert abs(seen / 4000 - q) <= 3 * se, (n, p, survivors)
 
     @pytest.mark.parametrize("kind", ["static", "opt-inv", "opt-lit"])
     def test_one_draw_per_channel_at_its_factor(self, kind):
-        # the same stream as drawing each channel at its acb_factors factor
+        # one uniform per channel, in channel order, against that channel's factor
         policy = AcbPolicy(kind, 0.4) if kind == "static" else AcbPolicy(kind)
-        loaded = np.random.default_rng(1).integers(2, 40, size=60)
+        loaded = np.random.default_rng(1).integers(2, 40, size=60).tolist()
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        survivors = collided_survivors(policy, loaded, r1)
-        assert survivors.tolist() == r2.binomial(loaded, acb_factors(policy, loaded)).tolist()
+        alone, emptied = collided_outcomes(policy, loaded, r1)
+        expect_alone = expect_empty = 0
+        for k, u in zip(loaded, r2.random(len(loaded))):
+            f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[kind]
+            none_left = (1 - f) ** k
+            expect_empty += u < none_left
+            expect_alone += none_left <= u < none_left + k * f * (1 - f) ** (k - 1)
+        assert (alone, emptied) == (expect_alone, expect_empty)
         assert r1.bit_generator.state == r2.bit_generator.state
+
+
+class TestClosedFormOutcome:
+    """Each policy's empty / alone / collided shares against Binomial(k, f), at paper scale."""
+
+    TRIALS = 100_000
+
+    @pytest.mark.parametrize("policy", BARRING, ids=lambda p: p.label)
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 54, 200, 5000])
+    def test_shares_match_the_binomial_pmf(self, policy, k):
+        rng = np.random.default_rng(7300 + k)
+        f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[policy.kind]
+        empty, alone = stats.binom.pmf(0, k, f), stats.binom.pmf(1, k, f)
+        ended_alone, emptied = collided_outcomes(policy, [k] * self.TRIALS, rng)
+        collided = self.TRIALS - ended_alone - emptied
+        for seen, p in ((emptied, empty), (ended_alone, alone), (collided, 1 - empty - alone)):
+            se = math.sqrt(p * (1 - p) / self.TRIALS)
+            assert abs(seen / self.TRIALS - p) <= 4 * se, (policy.label, k, seen)
+
+    @pytest.mark.parametrize("policy", BARRING, ids=lambda p: p.label)
+    def test_a_million_contenders_draw_in_constant_memory(self, policy):
+        rng = np.random.default_rng(11)
+        tracemalloc.start()
+        try:
+            alone, emptied = collided_outcomes(policy, [10**6], rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alone + emptied <= 1
+        assert peak < 2**20
 
 
 class TestSingleSurvivorOptimality:

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import enumerate_success_distribution, exhaustive_pack_count, make_config
 
-from rasim.acb import AcbPolicy, collided_survivors, parse_policy
+from rasim.acb import AcbPolicy, collided_outcomes, parse_policy
 from rasim.engine import (
     SimulationConfig,
     contend_uniform,
@@ -92,13 +92,13 @@ def test_c05_acb_microbench():
     trials = 100_000
     for n in range(2, 11):
         p_one = n * (1 / n) * (1 - 1 / n) ** (n - 1)
-        counts = np.full(trials, n)
+        loaded = [n] * trials
         inv, lit = AcbPolicy("opt-inv"), AcbPolicy("opt-lit")
-        hits_inv = np.count_nonzero(collided_survivors(inv, counts, rng) == 1)
+        hits_inv, _ = collided_outcomes(inv, loaded, rng)
         se = math.sqrt(p_one * (1 - p_one) / trials)
         assert abs(hits_inv / trials - p_one) < 3 * se, n
         if n >= 3:
-            hits_lit = np.count_nonzero(collided_survivors(lit, counts, rng) == 1)
+            hits_lit, _ = collided_outcomes(lit, loaded, rng)
             assert hits_inv > hits_lit, n
     _report(
         "C5 ACB microbench",

@@ -9,7 +9,7 @@ from conftest import enumerate_success_distribution, make_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rasim.acb import AcbPolicy, acb_factors
+from rasim.acb import AcbPolicy
 from rasim.engine import (
     SimulationConfig,
     SimulationState,
@@ -66,21 +66,29 @@ class TestContention:
 
     @pytest.mark.parametrize("kind", ["static", "opt-inv", "opt-lit"])
     def test_barring_draws_collided_channels_in_order(self, kind):
-        # the same stream as barring every channel by its acb_factors factor:
-        # each channel whose factor is below 1 draws, in channel order
+        # the selection, then one uniform per collided channel in channel order,
+        # classed against that channel's factor f and contender count k:
+        # empty below (1-f)^k, alone below that plus k f (1-f)^(k-1), else collided
         policy = AcbPolicy(kind, 0.4) if kind == "static" else AcbPolicy(kind)
+        ended = {"empty": 0, "alone": 0, "collided": 0}
         for seed in range(50):
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
             served, collided = contend_uniform(40, 9, policy, r1)
-            counts = r2.multinomial(40, np.full(9, 1 / 9))
-            factors = acb_factors(policy, counts)
-            barred = factors < 1.0
-            survivors = counts.copy()
-            survivors[barred] = r2.binomial(counts[barred], factors[barred])
-            assert np.all(survivors <= counts)
-            assert served == np.count_nonzero(survivors == 1)
-            assert collided == np.count_nonzero(survivors >= 2)
+            counts = r2.multinomial(40, np.full(9, 1 / 9)).tolist()
+            loaded = [k for k in counts if k >= 2]
+            outcomes = []
+            for k, u in zip(loaded, r2.random(len(loaded)).tolist()):
+                f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[kind]
+                none_left = (1 - f) ** k
+                one_left = k * f * (1 - f) ** (k - 1)
+                ends = "alone" if u < none_left + one_left else "collided"
+                outcomes.append("empty" if u < none_left else ends)
+            for name in ended:
+                ended[name] += outcomes.count(name)
+            assert served == counts.count(1) + outcomes.count("alone")
+            assert collided == outcomes.count("collided")
             assert r1.bit_generator.state == r2.bit_generator.state
+        assert all(ended.values()), ended  # every outcome was drawn
 
     def test_gf_success_distribution_matches_enumeration(self, rng):
         # classic slotted multichannel model, exhaustively enumerated
@@ -184,7 +192,7 @@ class TestFrames:
         assert any(fr.served_m > 0 for fr in results)
 
     def test_channel_states_bounded_by_contenders(self):
-        # per-channel factors are checked on acb_factors (test_acb.py); here every
+        # the barring draw is checked on collided_outcomes (test_acb.py); here every
         # channel of the plan has a state, and survivors never exceed contenders:
         # a served channel holds one UE, a collided one at least two
         cfg = make_config(frames=30, slicer="counts:2,5", acb=AcbPolicy("opt-inv"))
@@ -248,16 +256,16 @@ class TestDeterminism:
 
     def test_sub_seeds_are_order_insensitive(self):
         cfg = make_config(frames=20, slicer="counts:2,10", realizations=4, seed=7)
-        fwd = [realization_metrics(cfg, i) for i in range(4)]
-        rev = [realization_metrics(cfg, i) for i in (3, 2, 1, 0)][::-1]
+        fwd = [realization_metrics(cfg, range(i, i + 1)) for i in range(4)]
+        rev = [realization_metrics(cfg, range(i, i + 1)) for i in (3, 2, 1, 0)][::-1]
         for a, b in zip(fwd, rev):
             for key in a:
                 assert np.array_equal(a[key], b[key], equal_nan=True)
 
     def test_distinct_realizations_differ(self):
         cfg = make_config(frames=30, slicer="counts:2,10", seed=7)
-        a = realization_metrics(cfg, 0)
-        b = realization_metrics(cfg, 1)
+        a = realization_metrics(cfg, range(0, 1))
+        b = realization_metrics(cfg, range(1, 2))
         assert not np.array_equal(a["eta"], b["eta"], equal_nan=True)
 
     def test_seed_sequence_spawn_equivalence(self):
@@ -299,9 +307,9 @@ class TestMonteCarlo:
         cfg = make_config(frames=20, slicer="maxrect", predictor="naive", seed=4)
         block = realization_metrics(cfg, range(1, 4))
         for row, i in enumerate(range(1, 4)):
-            alone = realization_metrics(cfg, i)
+            alone = realization_metrics(cfg, range(i, i + 1))
             for key in alone:
-                assert np.array_equal(block[key][row], alone[key], equal_nan=True)
+                assert np.array_equal(block[key][row], alone[key][0], equal_nan=True)
 
     def test_parallel_matches_serial(self):
         cfg = make_config(frames=15, slicer="counts:2,10", realizations=3, seed=21)

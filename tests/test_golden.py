@@ -40,21 +40,21 @@ GOLDEN = {
         'opt-inv_km30000.csv': 'cde359762b27da8ad3b132e291d28672d01a2cf1f571abf29c6a951dea714516',
         'opt-inv_km4000.csv': '870dd8aee65492b2771959647be61ab6ca2744a2b6d266c6cc3579d290a417ee',
         'opt-inv_km7000.csv': '52a9508e24c6ad188bc7ce39919246dec3d3a06034bd439a9bf9fdb6c9f349b0',
-        'opt-lit_km1000.csv': '6c928becf59bd770410498ef2c7e76c15a8ca754bfc6c56224a293046976caf2',
-        'opt-lit_km10000.csv': 'b6b1b8b3f4e01b75d04db18f47d2d362ed55f5492890ab213114c36e9c216105',
-        'opt-lit_km2000.csv': 'c1f4f1a8436b2f1d6c6b3e135511552cda32767b37a847b50fba47d2b7927161',
-        'opt-lit_km20000.csv': '4655ce05625426c56c04639748e1ccd2e5d47d691793994b97961f9853cc31e9',
-        'opt-lit_km30000.csv': '0d94cc1bdb2adb12c85bd561f9b8ee9a53b208de8580552a30352f4ad3c08458',
-        'opt-lit_km4000.csv': '041a59947ca92dcc66c09429a904fa92f9aa4f857202bde6c2d99401ac1958a6',
-        'opt-lit_km7000.csv': '156a6315565369fbe889c2fbe6187e3f6ef793864e1a6cb52b4c22b9a45c5fd6',
+        'opt-lit_km1000.csv': '78e1ab10a8a5ec1368aa26be200063ac05991afa84d43c9ba9c02e73c2ad509e',
+        'opt-lit_km10000.csv': '37e3255bc8527c9a9b973c89ff15a0390bff9aff27da61e425ff9cfff653f51a',
+        'opt-lit_km2000.csv': '216cbc24096458faae32692bcb8696cb2c169330e962f1ff6830d746f22b9517',
+        'opt-lit_km20000.csv': '18dce8d32e21846b3459d58540351e38d76256554790d07f2e48c10245714f02',
+        'opt-lit_km30000.csv': 'fea577ed7f46cd007928880e1576916ec5e970c40b8079a7fb2d0a1242263619',
+        'opt-lit_km4000.csv': '3073aa855ba1ae37dc6b49a79d191319e1b8a6c048b7c2f60a5bcd8f707cbaf3',
+        'opt-lit_km7000.csv': '7af4d132bdee18342fd8a3f447817c70b4d4eb1a4c690aa6d002298a8a2f54e8',
         'static0.4_km1000.csv': '5be569d62f7328141d075397c0e4936a3c7ab107cfbc44be1a72d6515ce5177f',
-        'static0.4_km10000.csv': '727c90f0e89452fe843f8b6645fc5354668189153f1791f2a56d13caa92452ac',
+        'static0.4_km10000.csv': '8e72ae3ce71154e3e72e3c36e90b7375f49ae030dbc641cd4709c4441ea01457',
         'static0.4_km2000.csv': '7dac3f8b27b1a46d92020af5242c778111b7212ba11015bdbcf4f99600051af9',
-        'static0.4_km20000.csv': '7e7ca7cd82ffe4fb133600e1388dc2c31f0b5ee42b4fe1467397211471f06ca7',
-        'static0.4_km30000.csv': 'd4f6422ed5c06507a30080537f2df86dd936b054cec7ad88e5dfec03aad6b94d',
+        'static0.4_km20000.csv': 'fdfb636db6ba0175b0458f7b445213da9f6665ead68cd42e9b19e469ef47ec09',
+        'static0.4_km30000.csv': '3b88f63168f42a952d8b542402dcbd1b315a2616db97acc958e9aa9b195f2c08',
         'static0.4_km4000.csv': '92f4c91b6139ef0e241b14ca7002a2cbae24bf85cc1e07a195fe2889d82b5ad6',
         'static0.4_km7000.csv': '38020ade09ac42bd19e11cf8d5c714d2a0940066e3914e45a7e9c81e72b661a7',
-        'summary.csv': '65215e19fd3c95d4042a0e74f75e74ff56e16d7ff40797945d6a307d2c19ec2a',
+        'summary.csv': '99a61412b15872750af48420e9228725320c0a232b8c41eccc9b02a01ecfb4f8',
     },
     'fig5': {
         'full_km10000.csv': 'f642533f544f25bdb1bc6046a8ef10c6687139de5086ef1b094ce8a2b1650de9',

@@ -15,7 +15,6 @@ from rasim.predictor import (
     invert_idle_fraction,
     load_predictor,
     naive_predict,
-    perfect_predict,
     predict_backlog,
     predict_backlogs,
     save_predictor,
@@ -54,14 +53,19 @@ class TestHistory:
 
 
 class TestPerfect:
+    @staticmethod
+    def _predict(active_u, active_m):
+        sim = SimulationState(make_config(predictor="perfect"))
+        sim.active_u, sim.active_m = active_u, active_m
+        return sim.predict()
+
     def test_identity(self):
-        pred = perfect_predict(2 + 3, 100 + 20)
+        pred = self._predict(2 + 3, 100 + 20)
         assert pred == (5, 120)
         assert sum(pred) == 125
 
     def test_zeros(self):
-        pred = perfect_predict(0, 0)
-        assert pred == (0, 0)
+        assert self._predict(0, 0) == (0, 0)
 
 
 class TestNaive:
