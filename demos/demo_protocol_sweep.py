@@ -9,9 +9,8 @@ pool productive. Expect a couple of minutes at the default sizes.
 
 import numpy as np
 
-from rasim.acb import parse_policy
 from rasim.engine import SimulationConfig, run_monte_carlo
-from rasim.scenarios import urllc_reservation_ramp
+from rasim.scenarios import steady_point_summary, urllc_reservation_ramp
 from rasim.traffic import TrafficConfig
 
 POLICIES = ("gf", "static:0.4", "opt-inv", "opt-lit")
@@ -25,14 +24,14 @@ for k_m in POPULATIONS:
     for pol in POLICIES:
         cfg = SimulationConfig(
             traffic=TrafficConfig(k_m=k_m, k_u=round(k_m / 40)),
-            acb=parse_policy(pol),
+            acb=pol,
             slicer=f"counts:{l_u},{54 - l_u}",
             predictor="perfect",
             frames=400,
             realizations=10,
             seed=1,
         )
-        eta = run_monte_carlo(cfg).steady_mean("eta")
+        eta = steady_point_summary(run_monte_carlo(cfg))["eta"][0]
         table[(pol, k_m)] = eta
         row.append(eta)
     print(f"{k_m:>6} {l_u:>4}" + "".join(f"{v:>12.4f}" for v in row))

@@ -58,9 +58,14 @@ class AcbPolicy:
 
 def parse_policy(text: str) -> AcbPolicy:
     """Parse 'gf' | 'static:<p>' | 'opt-inv' | 'opt-lit'."""
-    if text.startswith("static:"):
-        return AcbPolicy(STATIC, float(text.split(":", 1)[1]))
-    return AcbPolicy(text)
+    kind, sep, factor = text.partition(":")
+    if kind != STATIC or not sep:
+        return AcbPolicy(text)
+    try:
+        p = float(factor)
+    except ValueError:
+        raise ConfigError(f"static barring factor {factor!r} is not a number") from None
+    return AcbPolicy(STATIC, p)
 
 
 def collided_factors(policy: AcbPolicy, loaded: list[int]) -> list[float]:

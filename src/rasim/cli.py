@@ -19,8 +19,16 @@ from .slicing import maxrect_slice, plan_dump_lines, render_plan_grid, validate_
 from .training import train_backlog_predictor
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as all bad input does, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rasim", description=__doc__)
+    parser = _Parser(prog="rasim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a simulation sweep and export CSVs")

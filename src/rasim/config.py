@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 
-from .acb import parse_policy
 from .engine import SimulationConfig
 from .errors import ConfigError
 from .slicing import GridConfig
@@ -38,18 +37,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
     data = dict(data)
     traffic = _build("traffic", TrafficConfig, data.pop("traffic", {}))
     grid = _build("grid", GridConfig, data.pop("grid", {}))
-    acb = data.pop("acb", "gf")
-    if not isinstance(acb, str):
-        raise ConfigError(f"acb: must be a string, not {acb!r}")
-    try:
-        policy = parse_policy(acb)
-    except ValueError as exc:
-        raise ConfigError(f"acb: {exc}") from exc
-    return _build(
-        "simulation",
-        SimulationConfig,
-        {"traffic": traffic, "grid": grid, "acb": policy, **data},
-    )
+    return _build("simulation", SimulationConfig, {"traffic": traffic, "grid": grid, **data})
 
 
 def load_config(path) -> SimulationConfig:
@@ -70,8 +58,10 @@ def load_config(path) -> SimulationConfig:
 
 
 def config_to_dict(cfg: SimulationConfig) -> dict:
+    """The config as a config file writes it, each setting as its canonical text."""
     out = dataclasses.asdict(cfg)
-    out["acb"] = cfg.acb.label
+    for name in ("acb", "predictor", "slicer"):
+        out[name] = getattr(cfg, name).label
     return out
 
 

@@ -21,13 +21,12 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
-from .acb import AcbPolicy, collided_outcomes
+from .acb import GRANT_FREE, AcbPolicy, collided_outcomes, parse_policy
 from .errors import ConfigError, check_scalar_fields
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
     FrameResult,
     LstmPredictor,
-    check_predictor_matches,
     cold_start_prior,
     load_predictor,
     naive_predict,
@@ -53,12 +52,22 @@ class PredictorSpec(NamedTuple):
     kind: str
     model_path: str = ""
 
+    @property
+    def label(self) -> str:
+        """The setting as parse_predictor reads it."""
+        return f"{self.kind}:{self.model_path}" if self.model_path else self.kind
+
 
 class SlicerSpec(NamedTuple):
     """The ``slicer`` setting, parsed; counts is (l_u, l_m) for counts, () or (l_u,) for fixed."""
 
     kind: str
     counts: tuple[int, ...] = ()
+
+    @property
+    def label(self) -> str:
+        """The setting as parse_slicer reads it, each count in decimal."""
+        return f"{self.kind}:{','.join(map(str, self.counts))}" if self.counts else self.kind
 
 
 def parse_predictor(text: str) -> PredictorSpec:
@@ -68,7 +77,7 @@ def parse_predictor(text: str) -> PredictorSpec:
         return PredictorSpec(kind, path)
     if kind in (PERFECT, NAIVE) and not sep:
         return PredictorSpec(kind)
-    raise ConfigError(f"bad predictor {text!r}: expected perfect, naive or lstm:<model path>")
+    raise ConfigError(f"{text!r} is not perfect, naive or lstm:<model path>")
 
 
 def parse_slicer(text: str) -> SlicerSpec:
@@ -78,19 +87,32 @@ def parse_slicer(text: str) -> SlicerSpec:
     arities = {MAXRECT: (0,), FIXED: (0, 1), COUNTS: (2,)}.get(kind, ())
     if len(fields) not in arities or not all(f.isdecimal() for f in fields):
         raise ConfigError(
-            f"bad slicer {text!r}: expected maxrect, fixed[:<l_u>] or counts:<l_u>,<l_m> "
+            f"{text!r} is not maxrect, fixed[:<l_u>] or counts:<l_u>,<l_m> "
             "with non-negative integer counts"
         )
     return SlicerSpec(kind, tuple(int(f) for f in fields))
 
 
+_SETTINGS = (
+    ("acb", AcbPolicy, parse_policy),
+    ("predictor", PredictorSpec, parse_predictor),
+    ("slicer", SlicerSpec, parse_slicer),
+)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
+    """The parameter set of a run.
+
+    acb, predictor and slicer may be given as text; it is parsed once, here,
+    and stored as the setting's typed form.
+    """
+
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    acb: AcbPolicy = field(default_factory=lambda: AcbPolicy("gf"))
-    predictor: str = "perfect"   # perfect | naive | lstm:<model path>
-    slicer: str = "maxrect"      # maxrect | fixed:<l_u> | counts:<l_u>,<l_m>
+    acb: AcbPolicy = AcbPolicy(GRANT_FREE)
+    predictor: PredictorSpec = PredictorSpec(PERFECT)
+    slicer: SlicerSpec = SlicerSpec(MAXRECT)
     frames: int = 1200
     realizations: int = 1
     seed: int = 1
@@ -109,8 +131,15 @@ class SimulationConfig:
             raise ConfigError("t_w must be >= 1")
         if not 0.0 < self.steady_fraction <= 1.0:
             raise ConfigError("steady_fraction must lie in (0, 1]")
-        parse_predictor(self.predictor)
-        parse_slicer(self.slicer)
+        for name, kind, parse in _SETTINGS:
+            value = getattr(self, name)
+            if isinstance(value, str):
+                try:
+                    object.__setattr__(self, name, parse(value))
+                except ConfigError as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
+            elif not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a string, not {value!r}")
 
     @property
     def steady_start(self) -> int:
@@ -160,17 +189,16 @@ class SimulationState:
         self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
         self.frame = 0
         self.profile = urllc_activation_profile(cfg.traffic)
-        self._predictor = parse_predictor(cfg.predictor).kind
+        self._predictor = cfg.predictor.kind
         # the last t_w frames, which only naive and lstm read
         self.hist = None if self._predictor == PERFECT else deque(maxlen=cfg.t_w)
         self.lstm_estimate = None  # this frame's LSTM estimate, from the history
-        slicer = parse_slicer(cfg.slicer)
         self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
-        if slicer.kind == FIXED:
-            plan = fixed_grid_slice(cfg.grid, *slicer.counts)
+        if cfg.slicer.kind == FIXED:
+            plan = fixed_grid_slice(cfg.grid, *cfg.slicer.counts)
             self._counts = (plan.l_u, plan.l_m)
-        elif slicer.kind == COUNTS:
-            self._counts = slicer.counts
+        elif cfg.slicer.kind == COUNTS:
+            self._counts = cfg.slicer.counts
         self._prior = cold_start_prior(cfg.traffic)
 
     def predict(self) -> tuple[int, int]:
@@ -223,18 +251,34 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
     return result
 
 
-def _lane_model(cfg: SimulationConfig, lstm: LstmPredictor | None) -> LstmPredictor | None:
-    """The LSTM predictor all lanes share, checked against cfg; None for other predictors.
+def resolve_model(
+    cfg: SimulationConfig, lstm: LstmPredictor | None = None, loaded: dict | None = None
+) -> LstmPredictor | None:
+    """The LSTM predictor of cfg, checked against it; None for other predictors.
 
-    Without a given predictor it is read from the model file of cfg.predictor.
+    Without a given predictor it is read from the model file of cfg.predictor,
+    once per path into ``loaded``, the cache a sweep keeps for its points.
+    Either way a model made for another window length or other class
+    populations is refused: its window would be cut to the wrong length, and
+    its estimates, scaled by the populations it was trained at, would clamp
+    to them.
     """
-    spec = parse_predictor(cfg.predictor)
-    if spec.kind != LSTM:
+    if cfg.predictor.kind != LSTM:
         return None
     source = "LSTM model"
     if lstm is None:
-        lstm, source = load_predictor(spec.model_path), f"model file {spec.model_path}"
-    check_predictor_matches(lstm, cfg.t_w, cfg.traffic, source)
+        path = cfg.predictor.model_path
+        loaded = {} if loaded is None else loaded
+        if path not in loaded:
+            loaded[path] = load_predictor(path)
+        lstm, source = loaded[path], f"model file {path}"
+    for name, have, want in (
+        ("t_w", lstm.t_w, cfg.t_w),
+        ("traffic.k_u", lstm.population_u, cfg.traffic.k_u),
+        ("traffic.k_m", lstm.population_m, cfg.traffic.k_m),
+    ):
+        if have != want:
+            raise ConfigError(f"{source}: model has {name} {have}, the config {want}")
     return lstm
 
 
@@ -251,7 +295,7 @@ def run_lanes(
     so one forward pass per frame makes every lane's estimate before the
     lanes run that frame.
     """
-    lstm = _lane_model(cfg, lstm)
+    lstm = resolve_model(cfg, lstm)
     sims = [SimulationState(cfg) for _ in rngs]
     hists = [sim.hist for sim in sims]
     lanes = list(zip(sims, rngs))
@@ -340,10 +384,6 @@ class MonteCarloResult:
     def mean(self, name: str) -> np.ndarray:
         return nanmean_quiet(self.stacks[name], axis=0)
 
-    def steady_mean(self, name: str) -> float:
-        """Scalar mean over the final steady-state window of the run."""
-        return float(nanmean_quiet(self.mean(name)[self.cfg.steady_start:]))
-
 
 @contextmanager
 def realization_pool(workers: int):
@@ -409,5 +449,6 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """cfg.realizations independent runs, merged in index order."""
     workers = workers if cfg.realizations > 1 else 1
+    lstm = resolve_model(cfg, lstm)  # read once, not once per block
     with realization_pool(workers) as pool:
         return start_monte_carlo(cfg, lstm, pool, workers)()

@@ -109,15 +109,6 @@ def cold_start_prior(cfg: TrafficConfig) -> PredictionResult:
     )
 
 
-def invert_idle_fraction(idle_fraction: float, channels: int) -> float:
-    """Solve (1 - 1/L)^n = idle_fraction for n (users on L channels)."""
-    if channels < 2:
-        raise ValueError("inversion needs at least two channels")
-    if not 0.0 < idle_fraction <= 1.0:
-        raise ValueError("idle fraction must lie in (0, 1]")
-    return math.log(idle_fraction) / math.log(1.0 - 1.0 / channels)
-
-
 def estimate_from_idle(idle_count: int, channels: int, population: int) -> int:
     """Invert the idle fraction of a uniform-selection frame.
 
@@ -131,11 +122,9 @@ def estimate_from_idle(idle_count: int, channels: int, population: int) -> int:
         raise ValueError("idle count out of range")
     if idle_count == 0:
         return population
-    if idle_count == channels:
+    if idle_count == channels:  # also every single-channel frame with an idle channel
         return 0
-    if channels == 1:
-        return 0  # single idle channel: nobody transmitted
-    n = invert_idle_fraction(idle_count / channels, channels)
+    n = math.log(idle_count / channels) / math.log(1.0 - 1.0 / channels)
     return max(0, min(population, round(n)))
 
 
@@ -188,23 +177,6 @@ class LstmPredictor:
     @property
     def model_m(self) -> LstmModel:
         return unstack_model(self.stack, 1, self.hidden[1])
-
-
-def check_predictor_matches(
-    predictor: LstmPredictor, t_w: int, traffic: TrafficConfig, source: str
-):
-    """Refuse a model made for another window length or other class populations.
-
-    Its window would be cut to the wrong length, and its estimates, scaled
-    by the populations it was trained at, would clamp to them.
-    """
-    for name, have, want in (
-        ("t_w", predictor.t_w, t_w),
-        ("traffic.k_u", predictor.population_u, traffic.k_u),
-        ("traffic.k_m", predictor.population_m, traffic.k_m),
-    ):
-        if have != want:
-            raise ConfigError(f"{source}: model has {name} {have}, the config {want}")
 
 
 def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[PredictionResult]:

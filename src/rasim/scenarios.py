@@ -20,20 +20,17 @@ import os
 from dataclasses import dataclass
 
 from . import __version__
-from .acb import parse_policy
 from .config import config_hash, config_to_dict
 from .engine import (
-    LSTM,
     METRIC_COLUMNS,
     MonteCarloResult,
     SimulationConfig,
     nanmean_quiet,
-    parse_predictor,
     realization_pool,
+    resolve_model,
     start_monte_carlo,
 )
 from .metrics import mean_and_stderr
-from .predictor import check_predictor_matches, load_predictor
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def preset_fig3(base: SimulationConfig) -> Scenario:
                     f"{tag}_km{k_m}",
                     _override(
                         base, traffic=traffic, slicer=slicer,
-                        predictor="perfect", acb=parse_policy("gf"),
+                        predictor="perfect", acb="gf",
                     ),
                 )
             )
@@ -94,7 +91,7 @@ def preset_fig4(base: SimulationConfig) -> Scenario:
                 ScenarioPoint(
                     f"{pol.replace(':', '')}_km{k_m}",
                     _override(
-                        base, traffic=traffic, acb=parse_policy(pol),
+                        base, traffic=traffic, acb=pol,
                         slicer=f"counts:{l_u},{54 - l_u}", predictor="perfect",
                     ),
                 )
@@ -116,7 +113,7 @@ def preset_fig5(base: SimulationConfig) -> Scenario:
             ScenarioPoint(
                 f"full_km{k_m}",
                 _override(
-                    base, traffic=traffic, acb=parse_policy("opt-inv"),
+                    base, traffic=traffic, acb="opt-inv",
                     slicer="maxrect", predictor="perfect",
                 ),
             )
@@ -155,26 +152,6 @@ def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, flo
     return out
 
 
-def _point_models(points) -> list:
-    """The LSTM predictor of each point, None for other predictors.
-
-    Each model file is read once, and checked against every point that uses it.
-    """
-    loaded = {}
-    models = []
-    for point in points:
-        spec = parse_predictor(point.cfg.predictor)
-        model = None
-        if spec.kind == LSTM:
-            if spec.model_path not in loaded:
-                loaded[spec.model_path] = load_predictor(spec.model_path)
-            model = loaded[spec.model_path]
-            source = f"model file {spec.model_path}"
-            check_predictor_matches(model, point.cfg.t_w, point.cfg.traffic, source)
-        models.append(model)
-    return models
-
-
 def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     """Execute every sweep point, write CSVs, a summary table and a manifest.
 
@@ -188,7 +165,8 @@ def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     outputs = []
     point_meta = []
     points = scenario.points
-    models = _point_models(points)
+    loaded = {}  # each model file is read once, and checked against every point that uses it
+    models = [resolve_model(p.cfg, loaded=loaded) for p in points]
     if sum(p.cfg.realizations for p in points) < 2:
         workers = 1
     with realization_pool(workers) as pool:

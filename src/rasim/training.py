@@ -31,7 +31,7 @@ def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
     """Grant-free trace: its FrameResults and true per-mode backlogs."""
     trace_cfg = dataclasses.replace(
         cfg,
-        acb=type(cfg.acb)("gf"),
+        acb="gf",
         predictor="perfect",
         frames=frames,
         seed=seed,

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import enumerate_success_distribution, exhaustive_pack_count, make_config
 
-from rasim.acb import AcbPolicy, collided_outcomes, parse_policy
+from rasim.acb import AcbPolicy, collided_outcomes
 from rasim.engine import (
     SimulationConfig,
     contend_uniform,
@@ -19,7 +19,7 @@ from rasim.engine import (
     run_simulation,
 )
 from rasim.lstm import init_lstm, lstm_loss_and_grads
-from rasim.scenarios import urllc_reservation_ramp
+from rasim.scenarios import steady_point_summary, urllc_reservation_ramp
 from rasim.slicing import (
     GridConfig,
     fixed_grid_slice,
@@ -131,14 +131,14 @@ def test_c07_congestion_reproduction():
         for pol in ("gf", "opt-inv"):
             cfg = SimulationConfig(
                 traffic=TrafficConfig(k_m=k_m, k_u=round(k_m / 40)),
-                acb=parse_policy(pol),
+                acb=pol,
                 slicer=f"counts:{l_u},{54 - l_u}",
                 predictor="perfect",
                 frames=400,
                 realizations=25,
                 seed=1,
             )
-            etas[(pol, k_m)] = run_monte_carlo(cfg).steady_mean("eta")
+            etas[(pol, k_m)] = steady_point_summary(run_monte_carlo(cfg))["eta"][0]
     # (a) grant-free collapses once the population saturates the pool
     assert etas[("gf", 4000)] < 0.02
     assert etas[("gf", 10000)] < 0.02
@@ -164,7 +164,7 @@ def test_c08_full_scheme_reproduction():
     for k_m in (2000, 10000, 30000, 60000, 120000):
         cfg = SimulationConfig(
             traffic=TrafficConfig(k_m=k_m, k_u=max(1, round(k_m / 400))),
-            acb=parse_policy("opt-inv"),
+            acb="opt-inv",
             slicer="maxrect",
             predictor="perfect",
             frames=400,

@@ -82,14 +82,23 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
     @pytest.mark.parametrize(
-        "field,spec", [("slicer", "counts:3"), ("slicer", "fixed:x"), ("predictor", "lstm:")]
+        "field,spec",
+        [
+            ("slicer", "counts:3"),
+            ("slicer", "fixed:x"),
+            ("predictor", "lstm:"),
+            ("predictor", "oracle"),
+            ("acb", "static:x"),
+            ("acb", "static:2"),
+            ("acb", "bogus"),
+        ],
     )
     def test_malformed_spec_fails_at_load(self, cfg_file, capsys, field, spec):
         path = cfg_file({field: spec})
-        with pytest.raises(ConfigError, match="simulation"):
+        with pytest.raises(ConfigError, match=f"simulation: {field}: "):
             load_config(path)
         assert main(["validate", "--config", path]) == 1
-        assert "simulation" in capsys.readouterr().err
+        assert f"simulation: {field}: " in capsys.readouterr().err
 
 
 class TestSliceCommand:
@@ -265,6 +274,19 @@ class TestExitCodes:
         assert main([cmd, "--config", cfg_file(""), *rest]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--preset", "fig4"], id="no --config"),
+        pytest.param(["simulate", "--config", "c.json", "--frames", "x"], id="--frames x"),
+        pytest.param(["bogus"], id="unknown subcommand"),
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        # argparse's own exit code for these is 2, which is kept for runtime failures
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rasim") and "error:" in err
+
 
 MALFORMED = [
     ({"frames": "10"}, "simulation: frames"),
@@ -277,7 +299,7 @@ MALFORMED = [
     ({"t_w": 2.5}, "simulation: t_w"),
     ({"steady_fraction": "0.2"}, "simulation: steady_fraction"),
     ({"predictor": 5}, "simulation: predictor"),
-    ({"acb": 3}, "acb:"),
+    ({"acb": 3}, "simulation: acb"),
     ({"traffic": None}, "traffic:"),
     ({"traffic": {"alpha": "3"}}, "traffic: alpha"),
     ({"traffic": {"k_m": 1000.5}}, "traffic: k_m"),

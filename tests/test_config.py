@@ -133,6 +133,34 @@ def test_float_field_spellings_hash_alike(a, b):
 
 
 @pytest.mark.parametrize(
+    "a,b",
+    [
+        ("fixed:05", "fixed:5"),
+        ("counts:07,047", "counts:7,47"),
+        ("maxrect:", "maxrect"),
+        ("fixed:", "fixed"),
+    ],
+)
+def test_slicer_spellings_give_one_config(a, b):
+    cfg_a, cfg_b = config_from_dict({"slicer": a}), config_from_dict({"slicer": b})
+    assert cfg_a == cfg_b and config_hash(cfg_a) == config_hash(cfg_b)
+    assert config_to_dict(cfg_a)["slicer"] == b
+
+
+@pytest.mark.parametrize(
+    "setting,text",
+    [("acb", "opt-lit"), ("acb", "static:0.25"), ("predictor", "naive"),
+     ("predictor", "lstm:m.txt"), ("slicer", "counts:7,47")],
+)
+def test_settings_are_stored_parsed(setting, text):
+    cfg = config_from_dict({setting: text})
+    assert not isinstance(getattr(cfg, setting), str)
+    assert getattr(cfg, setting).label == text
+    # a typed setting is kept as it is
+    assert getattr(dataclasses.replace(cfg), setting) is getattr(cfg, setting)
+
+
+@pytest.mark.parametrize(
     "make",
     [
         pytest.param(lambda: TrafficConfig(k_m=1000.0), id="float k_m"),
@@ -143,6 +171,8 @@ def test_float_field_spellings_hash_alike(a, b):
         pytest.param(lambda: dataclasses.replace(SimulationConfig(), seed=-1), id="seed -1"),
         pytest.param(lambda: dataclasses.replace(SimulationConfig(), predictor=None), id="None predictor"),
         pytest.param(lambda: dataclasses.replace(SimulationConfig(), frames=0), id="frames 0"),
+        pytest.param(lambda: dataclasses.replace(SimulationConfig(), acb="static:x"), id="acb static:x"),
+        pytest.param(lambda: dataclasses.replace(SimulationConfig(), slicer=5), id="int slicer"),
     ],
 )
 def test_no_malformed_config_can_be_constructed(make):

@@ -11,6 +11,7 @@ from rasim.metrics import (
     normalized_throughput,
     predictor_mse,
 )
+from rasim.scenarios import steady_point_summary
 from conftest import make_config
 
 
@@ -73,9 +74,9 @@ class TestChannelLoading:
             cfg = make_config(
                 slicer=slicer, predictor="perfect", frames=200, realizations=5, seed=4
             )
-            mc = run_monte_carlo(cfg)
-            cl[slicer] = mc.steady_mean("cl_u")
-            coll[slicer] = mc.steady_mean("collisions_u")
+            stats = steady_point_summary(run_monte_carlo(cfg))
+            cl[slicer] = stats["cl_u"][0]
+            coll[slicer] = stats["collisions_u"][0]
         assert cl["maxrect"] <= cl["fixed:5"]
         assert coll["maxrect"] < coll["fixed:5"]
 

@@ -12,7 +12,6 @@ from rasim.predictor import (
     LstmPredictor,
     PredictionResult,
     estimate_from_idle,
-    invert_idle_fraction,
     load_predictor,
     naive_predict,
     predict_backlog,
@@ -73,9 +72,10 @@ class TestNaive:
         assert estimate_from_idle(54, 54, 1000) == 0
 
     def test_idle_fraction_inversion_recovers_user_count(self):
-        # by construction: (1 - 1/54)^54 inverted over 54 channels gives 54
+        # by construction: the expected idle count of 54 users on 54 channels,
+        # 54 (1 - 1/54)^54, not an integer, inverts to 54 users
         frac = (1 - 1 / 54) ** 54
-        assert invert_idle_fraction(frac, 54) == pytest.approx(54.0)
+        assert estimate_from_idle(54 * frac, 54, 1000) == 54
         # integer-count path: 20 of 54 idle -> 53 users (frozen from the formula)
         assert estimate_from_idle(20, 54, 1000) == 53
 

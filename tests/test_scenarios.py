@@ -32,10 +32,10 @@ class TestReservationRamp:
 class TestPresets:
     def test_fig3_compares_slicers(self):
         sc = preset_fig3(SimulationConfig())
-        slicers = {p.cfg.slicer for p in sc.points}
+        slicers = {p.cfg.slicer.label for p in sc.points}
         assert slicers == {"maxrect", "fixed:5"}
         assert all(p.cfg.acb.kind == "gf" for p in sc.points)
-        assert all(p.cfg.predictor == "perfect" for p in sc.points)
+        assert all(p.cfg.predictor.kind == "perfect" for p in sc.points)
         assert len(sc.points) == 6
 
     def test_fig4_policy_and_pool(self):
@@ -44,7 +44,8 @@ class TestPresets:
         kinds = {p.cfg.acb.label for p in sc.points}
         assert kinds == {"gf", "static:0.4", "opt-inv", "opt-lit"}
         for p in sc.points:
-            l_u, l_m = (int(v) for v in p.cfg.slicer.split(":")[1].split(","))
+            assert p.cfg.slicer.kind == "counts"
+            l_u, l_m = p.cfg.slicer.counts
             assert l_u + l_m == 54
             assert 4 <= l_u <= 34
             # population coupling: one URLLC device per 40 mMTC devices
@@ -53,8 +54,8 @@ class TestPresets:
     def test_fig5_full_scheme(self):
         sc = preset_fig5(SimulationConfig())
         for p in sc.points:
-            assert p.cfg.slicer == "maxrect"
-            assert p.cfg.predictor == "perfect"
+            assert p.cfg.slicer.label == "maxrect"
+            assert p.cfg.predictor.kind == "perfect"
             assert p.cfg.acb.kind == "opt-inv"
             assert p.cfg.traffic.k_u == max(1, round(p.cfg.traffic.k_m / 400))
         # the sweep crosses the URLLC-domination knee (k_u well past 250)
@@ -73,6 +74,34 @@ class TestScenarioValidation:
         cfg = make_config(frames=5)
         point = ScenarioPoint("p", cfg)
         assert point.cfg.frames == 5
+
+
+class TestSettingsParsedOnce:
+    def test_a_sweep_parses_no_setting(self, tmp_path, monkeypatch):
+        # acb, predictor and slicer are parsed when a config is built; running
+        # and exporting a sweep of built configs reads their typed fields
+        import sys
+
+        import rasim.acb
+        import rasim.engine
+
+        scenario = Scenario("s", preset_fig3(make_config(frames=5)).points + (
+            ScenarioPoint("naive", make_config(frames=5, predictor="naive", acb="opt-lit")),
+        ))
+        parsers = (rasim.acb.parse_policy, rasim.engine.parse_predictor, rasim.engine.parse_slicer)
+
+        def refuse(text):
+            raise AssertionError(f"setting {text!r} parsed again")
+
+        for name, module in list(sys.modules.items()):
+            if name == "rasim" or name.startswith("rasim."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is parse for parse in parsers):
+                        monkeypatch.setattr(module, attr, refuse)
+        settings = tuple((name, kind, refuse) for name, kind, _ in rasim.engine._SETTINGS)
+        monkeypatch.setattr(rasim.engine, "_SETTINGS", settings)
+        manifest = run_scenario(scenario, str(tmp_path))
+        assert len(manifest["points"]) == 7
 
 
 class TestRuntimeFailureExitCode:
