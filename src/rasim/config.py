@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .engine import SimulationConfig
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .slicing import GridConfig
 from .traffic import TrafficConfig
 
@@ -45,8 +45,7 @@ def load_config(path) -> SimulationConfig:
 
     Every ConfigError names the file, then the section and field.
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         data = json.loads(text) if text.strip() else {}
     except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -251,34 +250,29 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
     return result
 
 
-def resolve_model(
-    cfg: SimulationConfig, lstm: LstmPredictor | None = None, loaded: dict | None = None
-) -> LstmPredictor | None:
+def resolve_model(cfg: SimulationConfig, loaded: dict | None = None) -> LstmPredictor | None:
     """The LSTM predictor of cfg, checked against it; None for other predictors.
 
-    Without a given predictor it is read from the model file of cfg.predictor,
-    once per path into ``loaded``, the cache a sweep keeps for its points.
-    Either way a model made for another window length or other class
-    populations is refused: its window would be cut to the wrong length, and
-    its estimates, scaled by the populations it was trained at, would clamp
-    to them.
+    It is read from the model file of cfg.predictor, once per path into
+    ``loaded``, the cache a sweep keeps for its points. A model made for
+    another window length or other class populations is refused: its window
+    would be cut to the wrong length, and its estimates, scaled by the
+    populations it was trained at, would clamp to them.
     """
     if cfg.predictor.kind != LSTM:
         return None
-    source = "LSTM model"
-    if lstm is None:
-        path = cfg.predictor.model_path
-        loaded = {} if loaded is None else loaded
-        if path not in loaded:
-            loaded[path] = load_predictor(path)
-        lstm, source = loaded[path], f"model file {path}"
+    path = cfg.predictor.model_path
+    loaded = {} if loaded is None else loaded
+    if path not in loaded:
+        loaded[path] = load_predictor(path)
+    lstm = loaded[path]
     for name, have, want in (
         ("t_w", lstm.t_w, cfg.t_w),
         ("traffic.k_u", lstm.population_u, cfg.traffic.k_u),
         ("traffic.k_m", lstm.population_m, cfg.traffic.k_m),
     ):
         if have != want:
-            raise ConfigError(f"{source}: model has {name} {have}, the config {want}")
+            raise ConfigError(f"model file {path}: model has {name} {have}, the config {want}")
     return lstm
 
 
@@ -293,9 +287,11 @@ def run_lanes(
     lane once per frame, so a lane draws exactly what it draws run alone. An
     LSTM estimate depends on the history only, not on the frame's arrivals,
     so one forward pass per frame makes every lane's estimate before the
-    lanes run that frame.
+    lanes run that frame. ``lstm`` carries the model that run_points has read
+    and checked into pool workers; without it the model is read here.
     """
-    lstm = resolve_model(cfg, lstm)
+    if lstm is None:
+        lstm = resolve_model(cfg)
     sims = [SimulationState(cfg) for _ in rngs]
     hists = [sim.hist for sim in sims]
     lanes = list(zip(sims, rngs))
@@ -306,15 +302,11 @@ def run_lanes(
         yield [run_frame(sim, cfg, rng) for sim, rng in lanes]
 
 
-def run_simulation(
-    cfg: SimulationConfig,
-    rng: np.random.Generator | None = None,
-    lstm: LstmPredictor | None = None,
-) -> list[FrameResult]:
+def run_simulation(cfg: SimulationConfig, rng: np.random.Generator | None = None) -> list[FrameResult]:
     """One realization: cfg.frames frames with persistent backlog and history."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return [results[0] for results in run_lanes(cfg, [rng], lstm)]
+    return [results[0] for results in run_lanes(cfg, [rng])]
 
 
 def realization_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -343,6 +335,7 @@ def realization_metrics(
     """Run the realizations of `block` as lanes in lockstep; per-frame metric arrays, by name.
 
     Each array is a (lanes, frames) stack, row i for realization block[i].
+    ``lstm`` is passed on to run_lanes: the checked model, carried into a pool worker.
     """
     rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in block]
     table = np.empty((len(rngs), cfg.frames, len(FrameResult._fields)))
@@ -385,26 +378,6 @@ class MonteCarloResult:
         return nanmean_quiet(self.stacks[name], axis=0)
 
 
-@contextmanager
-def realization_pool(workers: int):
-    """A process pool of `workers` for realization tasks, or None for a serial run.
-
-    On an error in the block, tasks not yet started are cancelled rather than
-    run. concurrent.futures is imported only here, so serial runs never load it.
-    """
-    if workers <= 1:
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            yield pool
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def lane_blocks(realizations: int, parts: int) -> list[range]:
     """Indices 0 .. realizations - 1 cut into at most `parts` contiguous blocks.
 
@@ -414,41 +387,48 @@ def lane_blocks(realizations: int, parts: int) -> list[range]:
     return [range(i * realizations // parts, (i + 1) * realizations // parts) for i in range(parts)]
 
 
-def start_monte_carlo(
-    cfg: SimulationConfig, lstm: LstmPredictor | None = None, pool=None, workers: int = 1
-):
-    """Submit cfg.realizations runs to pool; without a pool they run when collected.
+def _merge(cfg: SimulationConfig, blocks: list[dict]) -> MonteCarloResult:
+    """The metric arrays of cfg's lane blocks, stacked in index order."""
+    stacks = {name: np.concatenate([b[name] for b in blocks]) for name in METRIC_COLUMNS}
+    return MonteCarloResult(stacks, cfg)
 
-    Without a pool all realizations run as one block of lanes; with one,
-    they go to it as at most `workers` contiguous blocks. Lanes draw as if
-    run alone, so the split changes no result. Returns a function, to be
-    called once, that collects the blocks and merges them, in index order,
-    into a MonteCarloResult.
+
+def run_points(cfgs: list[SimulationConfig], workers: int = 1) -> Iterator[MonteCarloResult]:
+    """The one sweep runner: yields each config's realizations, merged in index order.
+
+    Each model file is read once and checked against every config before the
+    first point runs. Serially a point runs as one block of lanes. With
+    workers > 1 and two or more realizations in all, every point's
+    realizations go to one process pool as at most `workers` contiguous blocks
+    each, all submitted before the first result is collected; lanes draw as if
+    run alone, so the split changes no result. On an error, or when the caller
+    closes the generator, tasks not yet started are cancelled. concurrent.futures
+    is imported only here, so serial runs never load it.
     """
-    blocks = lane_blocks(cfg.realizations, 1 if pool is None else workers)
-    futures = None if pool is None else [
-        pool.submit(realization_metrics, cfg, block, lstm) for block in blocks
-    ]
+    loaded = {}
+    models = [resolve_model(cfg, loaded) for cfg in cfgs]
+    if workers <= 1 or sum(cfg.realizations for cfg in cfgs) < 2:
+        for cfg, lstm in zip(cfgs, models):
+            yield _merge(cfg, [realization_metrics(cfg, range(cfg.realizations), lstm)])
+        return
+    from concurrent.futures import ProcessPoolExecutor
 
-    def finish() -> MonteCarloResult:
-        if futures is None:
-            results = [realization_metrics(cfg, block, lstm) for block in blocks]
-        else:
-            results = [f.result() for f in futures]
-            futures.clear()  # free the results: a sweep keeps this function to its end
-        stacks = {name: np.concatenate([r[name] for r in results]) for name in METRIC_COLUMNS}
-        return MonteCarloResult(stacks, cfg)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            pending = [
+                [pool.submit(realization_metrics, cfg, block, lstm)
+                 for block in lane_blocks(cfg.realizations, workers)]
+                for cfg, lstm in zip(cfgs, models)
+            ]
+            for cfg, futures in zip(cfgs, pending):
+                yield _merge(cfg, [f.result() for f in futures])
+                futures.clear()  # free the blocks: pending lives to the end of the sweep
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
-    return finish
 
-
-def run_monte_carlo(
-    cfg: SimulationConfig,
-    workers: int = 1,
-    lstm: LstmPredictor | None = None,
-) -> MonteCarloResult:
+def run_monte_carlo(cfg: SimulationConfig, workers: int = 1) -> MonteCarloResult:
     """cfg.realizations independent runs, merged in index order."""
-    workers = workers if cfg.realizations > 1 else 1
-    lstm = resolve_model(cfg, lstm)  # read once, not once per block
-    with realization_pool(workers) as pool:
-        return start_monte_carlo(cfg, lstm, pool, workers)()
+    (result,) = run_points([cfg], workers)
+    return result

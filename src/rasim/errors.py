@@ -1,4 +1,4 @@
-"""The one exception type for bad input, and the field check of the config classes.
+"""The one exception type for bad input, the input file reader, and the config field check.
 
 A ConfigError names a fault in what the user gave: a config file or field, a
 CLI argument, or a model file that cannot be read or does not fit the
@@ -10,6 +10,15 @@ import dataclasses
 
 class ConfigError(ValueError):
     pass
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ConfigError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from None
 
 
 _ACCEPTED = {

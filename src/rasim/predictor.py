@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .lstm import LstmModel, lstm_forward, stack_models, unstack_model
 from .traffic import TrafficConfig, expected_arrivals_per_frame
 
@@ -256,11 +256,10 @@ def save_predictor(predictor: LstmPredictor, path):
 def load_predictor(path) -> LstmPredictor:
     """Read a file written by save_predictor.
 
-    A malformed or truncated file raises ConfigError naming the file and the
-    line at fault.
+    A malformed or truncated file, or one with a weight that is not finite,
+    raises ConfigError naming the file and the line at fault.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     line = 0  # number of the line being read
 
     def fields(keyword: str, count: int) -> list[str]:
@@ -286,6 +285,8 @@ def load_predictor(path) -> LstmPredictor:
             block.append([float(v) for v in lines[line - 1].split()])
             if len(block[-1]) != cols:
                 raise ValueError(f"array {name} needs {cols} values per row")
+            if not all(map(math.isfinite, block[-1])):
+                raise ValueError(f"array {name} holds a value that is not finite")
         return np.array(block)
 
     try:

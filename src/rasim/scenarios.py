@@ -26,9 +26,7 @@ from .engine import (
     MonteCarloResult,
     SimulationConfig,
     nanmean_quiet,
-    realization_pool,
-    resolve_model,
-    start_monte_carlo,
+    run_points,
 )
 from .metrics import mean_and_stderr
 
@@ -55,10 +53,10 @@ def _override(cfg: SimulationConfig, *, traffic=None, **sim_fields) -> Simulatio
     return dataclasses.replace(cfg, **sim_fields)
 
 
-def urllc_reservation_ramp(k_m: int, lo: int = 4, hi: int = 34) -> int:
-    """Reserved URLLC channels as the population grows from 1000 to 30000."""
+def urllc_reservation_ramp(k_m: int) -> int:
+    """Reserved URLLC channels, 4 .. 34, as the population grows from 1000 to 30000."""
     t = min(max((k_m - 1000) / 29000.0, 0.0), 1.0)
-    return lo + round(t * (hi - lo))
+    return 4 + round(t * 30)
 
 
 def preset_fig3(base: SimulationConfig) -> Scenario:
@@ -155,8 +153,7 @@ def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, flo
 def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     """Execute every sweep point, write CSVs, a summary table and a manifest.
 
-    With workers > 1 one process pool runs the realizations of all points,
-    each point's as at most `workers` contiguous blocks of lanes.
+    engine.run_points runs the points, with workers > 1 in one process pool.
     Points are written in order, so a point that fails stops the sweep with
     the earlier points written.
     """
@@ -165,27 +162,19 @@ def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     outputs = []
     point_meta = []
     points = scenario.points
-    loaded = {}  # each model file is read once, and checked against every point that uses it
-    models = [resolve_model(p.cfg, loaded=loaded) for p in points]
-    if sum(p.cfg.realizations for p in points) < 2:
-        workers = 1
-    with realization_pool(workers) as pool:
-        pending = [start_monte_carlo(p.cfg, m, pool, workers) for p, m in zip(points, models)]
-        for point, finish in zip(points, pending):
-            result = finish()
-            csv_name = f"{point.label}.csv"
-            write_point_csv(os.path.join(out_dir, csv_name), result)
-            outputs.append(csv_name)
-            stats = steady_point_summary(result)
-            summary_rows.append((point.label, stats))
-            point_meta.append(
-                {
-                    "label": point.label,
-                    "seed": point.cfg.seed,
-                    "config_hash": config_hash(point.cfg),
-                    "config": config_to_dict(point.cfg),
-                }
-            )
+    for point, result in zip(points, run_points([p.cfg for p in points], workers), strict=True):
+        csv_name = f"{point.label}.csv"
+        write_point_csv(os.path.join(out_dir, csv_name), result)
+        outputs.append(csv_name)
+        summary_rows.append((point.label, steady_point_summary(result)))
+        point_meta.append(
+            {
+                "label": point.label,
+                "seed": point.cfg.seed,
+                "config_hash": config_hash(point.cfg),
+                "config": config_to_dict(point.cfg),
+            }
+        )
 
     summary_name = "summary.csv"
     with open(os.path.join(out_dir, summary_name), "w", newline="") as fh:

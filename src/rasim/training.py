@@ -55,11 +55,7 @@ class TrainingReport:
 
 
 def train_backlog_predictor(
-    cfg: SimulationConfig,
-    samples: int = 1000,
-    epochs: int = 100,
-    hidden_size: int = 20,
-    learning_rate: float = 1e-2,
+    cfg: SimulationConfig, samples: int = 1000, epochs: int = 100
 ) -> tuple[LstmPredictor, TrainingReport]:
     """Train both class models and score them against the naive baseline.
 
@@ -84,7 +80,7 @@ def train_backlog_predictor(
         for key in (101, 102)
     ]
     (model_u, model_m), (hist_u, hist_m) = lstm_train(
-        (x, y), epochs, learning_rate, rngs, hidden_size=hidden_size
+        (x, y), epochs, learning_rate=1e-2, rng=rngs, hidden_size=20
     )
     predictor = LstmPredictor(model_u, model_m, tc.k_u, tc.k_m, cfg.t_w)
 

@@ -23,6 +23,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def model_file(tmp_path):
+    """A small LSTM model file for the stock populations (25 / 1000) and t_w 10."""
+    from rasim.lstm import init_lstm
+    from rasim.predictor import LstmPredictor, save_predictor
+
+    rng = np.random.default_rng(5)
+    path = tmp_path / "m.model"
+    model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
+    model_u.b_out = model_m.b_out = 0.2  # estimates inside (0, 1) that follow the window
+    save_predictor(LstmPredictor(model_u, model_m, 25, 1000), path)
+    return path
+
+
 def rasterize(channels, f_size, s_size):
     """Occupancy grid of a channel list; raises on overlap or out-of-bounds."""
     grid = np.zeros((f_size, s_size), dtype=bool)

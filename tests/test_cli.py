@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("loader", ["config", "model"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_file_names_it(self, cfg_file, tmp_path, capsys, loader, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"frames": "\xff\xfe"}')
+        if loader == "config":
+            argv = ["validate", "--config", str(path)]
+        else:
+            cfg = cfg_file({"predictor": f"lstm:{path}", "frames": 5})
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{path}: cannot read" in err
+
     @pytest.mark.parametrize(
         "field,spec",
         [
@@ -135,19 +153,6 @@ class TestTrainCommand:
 class TestModelFiles:
     """A model file that cannot be read, or does not fit the config, is a config error."""
 
-    @pytest.fixture
-    def model_file(self, tmp_path):
-        from rasim.lstm import init_lstm
-        from rasim.predictor import LstmPredictor, save_predictor
-
-        rng = np.random.default_rng(5)
-        path = tmp_path / "m.model"
-        model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
-        model_u.b_out = model_m.b_out = 0.2  # estimates inside (0, 1) that follow the window
-        pred = LstmPredictor(model_u, model_m, 25, 1000)
-        save_predictor(pred, path)
-        return path
-
     def _simulate(self, cfg_file, tmp_path, model, **fields):
         cfg = cfg_file({"predictor": f"lstm:{model}", "slicer": "maxrect", "frames": 5, **fields})
         return main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -157,6 +162,14 @@ class TestModelFiles:
         [
             pytest.param(lambda lines: lines[:30], 31, id="truncated"),
             pytest.param(lambda lines: lines[:7] + ["0.1 oops 0.3"] + lines[8:], 8, id="garbled"),
+            *(
+                # line 5 holds the first row of the u model's w_x
+                pytest.param(
+                    lambda lines, v=value: lines[:4] + [f"{v} {lines[4].split(None, 1)[1]}"] + lines[5:],
+                    5, id=value,
+                )
+                for value in ("nan", "inf", "-inf")
+            ),
         ],
     )
     def test_malformed_model_names_file_and_line(
@@ -184,14 +197,13 @@ class TestModelFiles:
         assert "config error" in err and name in err and str(model_file) in err
 
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_model_file_read_once_per_sweep(
-        self, cfg_file, tmp_path, model_file, monkeypatch, workers
-    ):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_file_read_once_per_sweep(self, tmp_path, model_file, monkeypatch, workers):
         # each call appends a line to a file, so calls in pool workers count too
         import sys
 
         from rasim import predictor
+        from rasim.scenarios import Scenario, ScenarioPoint, run_scenario
 
         log = tmp_path / "loads.log"
         orig = predictor.load_predictor
@@ -206,11 +218,15 @@ class TestModelFiles:
                 for attr, value in list(vars(module).items()):
                     if value is orig:
                         monkeypatch.setattr(module, attr, counting)
-        cfg = cfg_file({"predictor": f"lstm:{model_file}", "slicer": "maxrect",
-                        "frames": 5, "realizations": 4})
-        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]
-        assert main(argv) == 0
+        # two points share the file
+        points = tuple(
+            ScenarioPoint(f"p{seed}", SimulationConfig(
+                predictor=f"lstm:{model_file}", frames=5, realizations=4, seed=seed))
+            for seed in (1, 2)
+        )
+        run_scenario(Scenario("s", points), str(tmp_path / "out"), workers=workers)
         assert log.read_text().splitlines() == [str(model_file)]
+        assert multiprocessing.active_children() == []
 
     def _lstm_point(self, model_file):
         return {"predictor": f"lstm:{model_file}", "slicer": "maxrect",
@@ -223,6 +239,7 @@ class TestModelFiles:
         for workers in ("1", "2", "3"):
             out = tmp_path / f"out{workers}"
             assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            assert multiprocessing.active_children() == []
             outputs.append([(out / name).read_bytes() for name in ("run.csv", "summary.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from rasim.acb import AcbPolicy
 from rasim.engine import (
+    METRIC_COLUMNS,
     SimulationConfig,
     SimulationState,
     contend_uniform,
@@ -19,11 +21,18 @@ from rasim.engine import (
     realization_seed,
     run_lanes,
     run_monte_carlo,
+    run_points,
     run_simulation,
 )
 from rasim.metrics import mean_and_stderr
 from rasim.predictor import PredictionResult, cold_start_prior
-from rasim.scenarios import steady_point_summary
+from rasim.scenarios import (
+    Scenario,
+    ScenarioPoint,
+    run_scenario,
+    steady_point_summary,
+    write_point_csv,
+)
 from rasim.slicing import GridConfig, maxrect_slice
 
 
@@ -312,12 +321,28 @@ class TestMonteCarlo:
             for key in alone:
                 assert np.array_equal(block[key][row], alone[key][0], equal_nan=True)
 
-    def test_parallel_matches_serial(self):
-        cfg = make_config(frames=15, slicer="counts:2,10", realizations=3, seed=21)
-        serial = run_monte_carlo(cfg, workers=1)
-        parallel = run_monte_carlo(cfg, workers=2)
-        for key in serial.stacks:
-            assert np.array_equal(serial.stacks[key], parallel.stacks[key], equal_nan=True)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_parallel_matches_serial(self, tmp_path, model_file, workers):
+        # one sweep of an lstm point, a naive maxrect point and a single realization
+        points = (
+            ScenarioPoint("lstm", make_config(
+                frames=15, predictor=f"lstm:{model_file}", slicer="maxrect", realizations=3, seed=21)),
+            ScenarioPoint("naive", make_config(
+                frames=15, predictor="naive", slicer="maxrect", realizations=4, seed=22)),
+            ScenarioPoint("one", make_config(frames=15, slicer="counts:2,10", seed=23)),
+        )
+        run_scenario(Scenario("mixed", points), str(tmp_path / "out"), workers=workers)
+        results = list(run_points([p.cfg for p in points], workers))
+        assert multiprocessing.active_children() == []
+        for point, result in zip(points, results):
+            cfg = point.cfg
+            for i in range(cfg.realizations):  # each row is its realization run alone
+                alone = realization_metrics(cfg, range(i, i + 1))
+                for name in METRIC_COLUMNS:
+                    assert np.array_equal(result.stacks[name][i], alone[name][0], equal_nan=True)
+            write_point_csv(str(tmp_path / "alone.csv"), result)
+            written = (tmp_path / "out" / f"{point.label}.csv").read_bytes()
+            assert written == (tmp_path / "alone.csv").read_bytes()
 
     def test_overload_grant_free_throughput_collapses(self):
         # frozen regression: saturated population on the classic 54-channel pool

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -139,3 +140,4 @@ class TestSweepFailure:
         with pytest.raises(ValueError, match="injected"):
             run_scenario(Scenario("s", points), str(tmp_path / "out"), workers=workers)
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["p200.csv"]
+        assert multiprocessing.active_children() == []
