@@ -9,7 +9,9 @@ The frame needs only whether a collided channel ends with 0, 1 or more
 contenders, so the barring draw samples that outcome directly: one uniform
 per collided channel, against the closed-form probabilities that 0 or 1 of
 its k contenders pass a factor f, (1-f)^k and k f (1-f)^(k-1). This is the
-exact distribution of barring each contender on its own.
+exact distribution of barring each contender on its own. The two thresholds
+depend only on the policy and k: for k below TABLE_CAP they are read from a
+table per policy, filled once by the same expression that serves larger k.
 
 Two "optimal" flavours are shipped: ``opt-inv`` passes each of n colliders
 with probability 1/n (maximizes the chance that exactly one survives) and
@@ -79,6 +81,43 @@ def collided_factors(policy: AcbPolicy, loaded: list[int]) -> list[float]:
     return [1.0 - 1.0 / k for k in loaded]  # opt-lit
 
 
+def _thresholds(policy: AcbPolicy, k: int) -> tuple[float, float]:
+    """(empty, alone): a channel of k contenders ends empty if u < empty, alone if u < alone.
+
+    With the channel's factor f these are (1-f)^k and (1-f)^k + k f (1-f)^(k-1),
+    in Python floats.
+    """
+    (f,) = collided_factors(policy, [k])
+    q = 1.0 - f
+    rest_barred = q ** (k - 1)  # (1-f)^k is this times q
+    empty = rest_barred * q
+    return empty, empty + k * f * rest_barred
+
+
+# Contender counts below this read their thresholds from a table per policy:
+# 2 x 8 bytes x TABLE_CAP per policy, built on the policy's first draw. fig4's
+# busiest channels hold ~1640 contenders; a draw with a channel at or past the
+# cap (fig5 has some) takes every channel's thresholds from _thresholds.
+TABLE_CAP = 2048
+_TABLES: dict[tuple[str, float], tuple[memoryview, memoryview]] = {}
+
+
+def _threshold_table(policy: AcbPolicy) -> tuple[memoryview, memoryview]:
+    """(empty, alone) thresholds of policy at index k, for every k in 2 .. TABLE_CAP - 1.
+
+    Each is a flat buffer of C doubles, which hold a Python float exactly.
+    """
+    key = (policy.kind, policy.p)
+    table = _TABLES.get(key)
+    if table is None:
+        empty_at = memoryview(bytearray(8 * TABLE_CAP)).cast("d")
+        alone_at = memoryview(bytearray(8 * TABLE_CAP)).cast("d")
+        for k in range(2, TABLE_CAP):
+            empty_at[k], alone_at[k] = _thresholds(policy, k)
+        table = _TABLES[key] = (empty_at, alone_at)
+    return table
+
+
 def collided_outcomes(
     policy: AcbPolicy, loaded: list[int], rng: np.random.Generator
 ) -> tuple[int, int]:
@@ -94,14 +133,21 @@ def collided_outcomes(
     """
     if not policy.bars:
         return 0, 0
-    alone = emptied = 0
     draws = rng.random(len(loaded)).tolist()
-    for k, f, u in zip(loaded, collided_factors(policy, loaded), draws):
-        q = 1.0 - f
-        rest_barred = q ** (k - 1)  # one pow per channel: (1-f)^k is this times q
-        empty = rest_barred * q
-        if u < empty:
-            emptied += 1
-        elif u < empty + k * f * rest_barred:
-            alone += 1
+    empty_at, alone_at = _threshold_table(policy)
+    alone = emptied = 0
+    try:
+        for k, u in zip(loaded, draws):
+            if u < empty_at[k]:
+                emptied += 1
+            elif u < alone_at[k]:
+                alone += 1
+    except IndexError:  # a count past the table: every channel's thresholds from the rule
+        alone = emptied = 0
+        for k, u in zip(loaded, draws):
+            empty, below_alone = _thresholds(policy, k)
+            if u < empty:
+                emptied += 1
+            elif u < below_alone:
+                alone += 1
     return alone, emptied

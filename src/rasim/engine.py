@@ -142,8 +142,18 @@ class SimulationConfig:
 
     @property
     def steady_start(self) -> int:
-        """First frame of the steady-state window, the final steady_fraction of the run."""
-        return int(self.frames * (1.0 - self.steady_fraction))
+        """First frame of the steady-state window, the final steady_fraction of the run.
+
+        The window holds ceil(frames * steady_fraction) frames, with the
+        fraction read as the decimal its repr writes (0.9 is 9/10), in integers:
+        400 frames at 0.9 keep 360, where 400 * (1 - 0.9) in floats gives 39.99...
+        """
+        # repr(steady_fraction) as digits / 10**scale; scale >= 0, since the fraction is <= 1
+        mantissa, _, exponent = repr(self.steady_fraction).partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        digits, scale = int(whole + decimals), len(decimals) - int(exponent or 0)
+        window = -(-self.frames * digits // 10**scale)  # ceil(frames * steady_fraction)
+        return self.frames - window
 
 
 @functools.cache

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import __version__
 from .config import config_hash, config_to_dict
@@ -131,13 +132,22 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
+def _fmt_column(values: list[float]) -> Iterator[str]:
+    """_fmt of each value, formatting each distinct value once.
+
+    Values that compare equal format alike (0.0 and -0.0 both give "0"), and
+    each NaN object finds itself in the memo by identity.
+    """
+    text = {value: _fmt(value) for value in set(values)}
+    return map(text.__getitem__, values)
+
+
 def write_point_csv(path: str, result: MonteCarloResult):
     """Per-frame means across realizations, one row per frame."""
-    columns = [map(_fmt, result.mean(name).tolist()) for name in METRIC_COLUMNS]
-    lines = ["frame," + ",".join(METRIC_COLUMNS)]
-    lines += [f"{t}," + ",".join(row) for t, row in enumerate(zip(*columns))]
+    columns = [_fmt_column(result.mean(name).tolist()) for name in METRIC_COLUMNS]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("frame," + ",".join(METRIC_COLUMNS) + "\n")
+        fh.writelines(f"{t},{','.join(row)}\n" for t, row in enumerate(zip(*columns)))
 
 
 def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, float]]:

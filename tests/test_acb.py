@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rasim import acb
 from rasim.acb import (
+    TABLE_CAP,
     AcbPolicy,
+    _threshold_table,
     collided_factors,
     collided_outcomes,
     parse_policy,
@@ -115,17 +118,55 @@ class TestRound:
     def test_one_draw_per_channel_at_its_factor(self, kind):
         # one uniform per channel, in channel order, against that channel's factor
         policy = AcbPolicy(kind, 0.4) if kind == "static" else AcbPolicy(kind)
-        loaded = np.random.default_rng(1).integers(2, 40, size=60).tolist()
-        r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        alone, emptied = collided_outcomes(policy, loaded, r1)
-        expect_alone = expect_empty = 0
-        for k, u in zip(loaded, r2.random(len(loaded))):
-            f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[kind]
-            none_left = (1 - f) ** k
-            expect_empty += u < none_left
-            expect_alone += none_left <= u < none_left + k * f * (1 - f) ** (k - 1)
-        assert (alone, emptied) == (expect_alone, expect_empty)
-        assert r1.bit_generator.state == r2.bit_generator.state
+        for loaded in (
+            np.random.default_rng(1).integers(2, 40, size=60).tolist(),
+            [TABLE_CAP - 1, 2, TABLE_CAP - 2, 17],  # the table's last entries
+            # counts at and past the table's end, among counts inside it
+            [5, TABLE_CAP - 1, 2, TABLE_CAP, 40, TABLE_CAP + 1, 3 * TABLE_CAP, 10**6, 3],
+        ):
+            r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
+            alone, emptied = collided_outcomes(policy, loaded, r1)
+            expect_alone = expect_empty = 0
+            for k, u in zip(loaded, r2.random(len(loaded))):
+                f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[kind]
+                none_left = (1 - f) ** k
+                expect_empty += u < none_left
+                expect_alone += none_left <= u < none_left + k * f * (1 - f) ** (k - 1)
+            assert (alone, emptied) == (expect_alone, expect_empty), loaded
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+
+class TestThresholdTable:
+    """The per-policy table of barring thresholds, against the per-channel rule."""
+
+    @pytest.mark.parametrize("policy", BARRING, ids=lambda p: p.label)
+    def test_every_entry_is_the_scalar_rule_bit_for_bit(self, policy):
+        empty_at, alone_at = _threshold_table(policy)
+        assert len(empty_at) == len(alone_at) == TABLE_CAP
+        for k in range(2, TABLE_CAP):
+            # the per-channel expression the table replaces, in Python floats
+            f = {"static": 0.4, "opt-inv": 1.0 / k, "opt-lit": 1.0 - 1.0 / k}[policy.kind]
+            q = 1.0 - f
+            rest_barred = q ** (k - 1)
+            empty = rest_barred * q
+            alone = empty + k * f * rest_barred
+            assert (empty_at[k].hex(), alone_at[k].hex()) == (empty.hex(), alone.hex()), k
+
+    def test_tables_stay_small_over_every_count(self, monkeypatch):
+        # all three tables, built from scratch, and every count up to 4 x TABLE_CAP
+        monkeypatch.setattr(acb, "_TABLES", {})
+        rng = np.random.default_rng(5)
+        counts = range(2, 4 * TABLE_CAP)
+        tracemalloc.start()
+        try:
+            for policy in BARRING:
+                for i in range(0, len(counts), 54):  # a frame's worth of channels per call
+                    collided_outcomes(policy, list(counts[i:i + 54]), rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(acb._TABLES) == 3
+        assert peak < 256 * 2**10
 
 
 class TestClosedFormOutcome:

@@ -9,6 +9,7 @@ field was spelled (3 or 3.0, -0.0 or 0.0).
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ unit = st.one_of(st.floats(0.0, 1.0), st.just(-0.0), st.integers(0, 1))
 positive = st.one_of(st.floats(0.0, 1e6, exclude_min=True), st.integers(1, 10**6))
 counts = st.integers(0, 10**6)
 powers_of_two = st.sampled_from([2**k for k in range(1, 11)])
+steady_fractions = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1))
 
 
 @st.composite
@@ -82,7 +84,7 @@ configs = st.builds(
     realizations=st.integers(1, 10**4),
     seed=st.integers(0, 2**63),
     t_w=st.integers(1, 1000),
-    steady_fraction=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1)),
+    steady_fraction=steady_fractions,
 )
 
 
@@ -195,3 +197,21 @@ def test_non_finite_burst_shape_rejected(field, value):
     # NaN compares false with 0, so a "<= 0" check alone would let it through
     with pytest.raises(ConfigError, match="alpha and beta"):
         config_from_dict({"traffic": {field: value}})
+
+
+@pytest.mark.parametrize(
+    "frames,steady_fraction,start",
+    [(400, 0.9, 40), (10, 0.9, 1), (60, 0.9, 6), (10, 0.05, 9), (400, 0.2, 320), (7, 1, 0)],
+)
+def test_steady_window_is_exact_where_floats_land_below_an_integer(frames, steady_fraction, start):
+    # 400 * (1 - 0.9) is 39.99... in floats: truncating it kept 361 frames, not 360
+    assert SimulationConfig(frames=frames, steady_fraction=steady_fraction).steady_start == start
+
+
+@given(frames=st.integers(1, 10**6), steady_fraction=steady_fractions)
+@settings(max_examples=500, deadline=None)
+def test_steady_window_holds_the_ceiling_of_its_share(frames, steady_fraction):
+    cfg = SimulationConfig(frames=frames, steady_fraction=steady_fraction)
+    window = frames - cfg.steady_start
+    assert window == math.ceil(frames * Fraction(repr(cfg.steady_fraction)))
+    assert 0 <= cfg.steady_start <= frames - 1

@@ -1,21 +1,25 @@
 import json
+import math
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from conftest import make_config
 
 from rasim.cli import main
-from rasim.engine import SimulationConfig
+from rasim.engine import METRIC_COLUMNS, MonteCarloResult, SimulationConfig
 from rasim.scenarios import (
     PRESETS,
     Scenario,
     ScenarioPoint,
+    _fmt,
     preset_fig3,
     preset_fig4,
     preset_fig5,
     run_scenario,
     urllc_reservation_ramp,
+    write_point_csv,
 )
 
 
@@ -141,3 +145,19 @@ class TestSweepFailure:
             run_scenario(Scenario("s", points), str(tmp_path / "out"), workers=workers)
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["p200.csv"]
         assert multiprocessing.active_children() == []
+
+
+class TestPointCsv:
+    def test_each_value_reads_as_its_own_format(self, tmp_path):
+        # each distinct value is formatted once; every cell must still read as _fmt of its value
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e15, 0.5, 1 / 3]
+        column = np.array(special * 5)
+        stacks = {name: np.roll(column, i)[None, :] for i, name in enumerate(METRIC_COLUMNS)}
+        result = MonteCarloResult(stacks, SimulationConfig(frames=column.size))
+        path = tmp_path / "point.csv"
+        write_point_csv(str(path), result)
+        cells = [result.mean(name).tolist() for name in METRIC_COLUMNS]
+        expect = ["frame," + ",".join(METRIC_COLUMNS)]
+        expect += [f"{t}," + ",".join(_fmt(v) for v in row) for t, row in enumerate(zip(*cells))]
+        assert path.read_text() == "\n".join(expect) + "\n"
+        assert {_fmt(v) for v in special} <= set(path.read_text().replace("\n", ",").split(","))
