@@ -10,7 +10,7 @@ Takes around half a minute.
 """
 
 from rasim.engine import SimulationConfig
-from rasim.predictor import predict_backlog
+from rasim.predictor import predict_backlogs
 from rasim.traffic import TrafficConfig
 from rasim.training import generate_trace, train_backlog_predictor
 
@@ -29,9 +29,10 @@ print(f"  val   nmse: urllc={report.val_mse_u:.2e} mmtc={report.val_mse_m:.2e}")
 print(f"  naive nmse: urllc={report.naive_mse_u:.2e} mmtc={report.naive_mse_m:.2e}")
 
 print("\ntracking a fresh trace (true vs predicted active UEs):")
-trace, bu, bm = generate_trace(cfg, 40, seed=2024)
+trace = generate_trace(cfg, 40, seed=2024)  # each frame's active counts are the truth
 print(f"{'frame':>6} {'true u':>7} {'pred u':>7} {'true m':>7} {'pred m':>7}")
 for t in range(cfg.t_w, len(trace)):
     if t % 3 == 0:  # estimated from the history of frames t - t_w .. t - 1
-        pred = predict_backlog(predictor, trace[t - cfg.t_w : t])
-        print(f"{t:>6} {bu[t]:>7} {pred.k_hat_u:>7} {bm[t]:>7} {pred.k_hat_m:>7}")
+        (pred,) = predict_backlogs(predictor, [trace[t - cfg.t_w : t]])
+        fr = trace[t]
+        print(f"{t:>6} {fr.active_u:>7} {pred.k_hat_u:>7} {fr.active_m:>7} {pred.k_hat_m:>7}")

@@ -10,24 +10,24 @@ import numpy as np
 
 from rasim.traffic import (
     TrafficConfig,
-    beta_activation_profile,
     sample_mmtc_arrivals,
     sample_urllc_arrivals,
     update_backlog,
+    urllc_activation_profile,
 )
 
 cfg = TrafficConfig()  # stock populations: 1000 mMTC (10 periodic), 25 URLLC
 rng = np.random.default_rng(7)
 
 print("URLLC activation profile over one period (Beta(3,4) shape):")
-bars = [beta_activation_profile(cfg, t) for t in range(cfg.t_u)]
-for t, p in enumerate(bars):
+profile = urllc_activation_profile(cfg)  # the activation probability at each phase
+for t, p in enumerate(profile):
     print(f"  phase {t}: p={p:5.3f} {'#' * int(60 * p)}")
 
 print("\nOne period of sampled arrivals (mMTC | URLLC):")
 for t in range(10):
     a_m = sample_mmtc_arrivals(cfg, t, rng)
-    a_u = sample_urllc_arrivals(cfg, t, rng)
+    a_u = sample_urllc_arrivals(cfg, t, rng, profile)
     tag = " <- periodic mMTC group wakes up" if t % cfg.t_m == 0 else ""
     print(f"  frame {t}: {a_m:3d} | {a_u:2d}{tag}")
 
@@ -35,7 +35,7 @@ print("\nBacklog growth with zero service (every active UE fails each frame):")
 active_m = active_u = 0
 for t in range(25):
     a_m = sample_mmtc_arrivals(cfg, t, rng)
-    a_u = sample_urllc_arrivals(cfg, t, rng)
+    a_u = sample_urllc_arrivals(cfg, t, rng, profile)
     new_m, new_u = update_backlog(active_m, active_u, a_m, a_u, active_m, active_u, cfg)
     active_m, active_u = new_m + active_m, new_u + active_u
     if t % 4 == 0:

@@ -18,7 +18,6 @@ from .predictor import (
     PredictionResult,
     load_predictor,
     naive_predict,
-    predict_backlog,
     save_predictor,
 )
 from .slicing import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .config import ConfigError, config_hash, load_config
@@ -70,6 +71,10 @@ def cmd_simulate(args) -> int:
         scenario = PRESETS[args.preset](cfg)
     else:
         scenario = Scenario("run", (ScenarioPoint("run", cfg),))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or a directory that cannot be made
+        raise ConfigError(f"--out {args.out}: cannot make the directory ({exc.strerror})") from None
     manifest = run_scenario(scenario, args.out, workers=args.workers)
     print(f"wrote {len(manifest['outputs'])} file(s) to {args.out}")
     return 0
@@ -77,6 +82,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    parent = os.path.dirname(args.out) or "."  # checked before any epoch starts
+    if os.path.isdir(args.out) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise ConfigError(f"--out {args.out}: cannot write a file there")
     predictor, report = train_backlog_predictor(
         cfg, samples=args.samples, epochs=args.epochs
     )
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2

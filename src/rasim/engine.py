@@ -341,10 +341,11 @@ METRIC_COLUMNS = (
 
 def realization_metrics(
     cfg: SimulationConfig, block: range, lstm: LstmPredictor | None = None
-):
-    """Run the realizations of `block` as lanes in lockstep; per-frame metric arrays, by name.
+) -> np.ndarray:
+    """Run the realizations of `block` as lanes in lockstep: their per-frame metrics.
 
-    Each array is a (lanes, frames) stack, row i for realization block[i].
+    The array has shape (columns, lanes, frames), columns in METRIC_COLUMNS
+    order and lane i for realization block[i].
     ``lstm`` is passed on to run_lanes: the checked model, carried into a pool worker.
     """
     rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in block]
@@ -353,7 +354,7 @@ def realization_metrics(
         table[:, frame] = results
     fr = FrameResult(*np.moveaxis(table, -1, 0))  # fields over the lanes and frames
     active_u, active_m = fr.active_u, fr.active_m
-    columns = (
+    return np.array((
         normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m),
         *channel_loading(active_u, active_m, fr.l_u, fr.l_m),
         fr.served_u,
@@ -364,8 +365,7 @@ def realization_metrics(
         fr.l_m,
         fr.collided_u,
         fr.collided_m,
-    )
-    return dict(zip(METRIC_COLUMNS, columns))
+    ))
 
 
 def nanmean_quiet(data, axis=None):
@@ -379,13 +379,15 @@ def nanmean_quiet(data, axis=None):
 
 @dataclass
 class MonteCarloResult:
-    """Per-frame metric stacks of shape (realizations, frames)."""
+    """A point's per-frame metrics: shape (columns, realizations, frames), METRIC_COLUMNS order."""
 
-    stacks: dict[str, np.ndarray]
+    metrics: np.ndarray
     cfg: SimulationConfig
 
-    def mean(self, name: str) -> np.ndarray:
-        return nanmean_quiet(self.stacks[name], axis=0)
+    @property
+    def stacks(self) -> dict[str, np.ndarray]:
+        """Each column's (realizations, frames) view of metrics, by name."""
+        return dict(zip(METRIC_COLUMNS, self.metrics))
 
 
 def lane_blocks(realizations: int, parts: int) -> list[range]:
@@ -395,12 +397,6 @@ def lane_blocks(realizations: int, parts: int) -> list[range]:
     """
     parts = max(1, min(parts, realizations))
     return [range(i * realizations // parts, (i + 1) * realizations // parts) for i in range(parts)]
-
-
-def _merge(cfg: SimulationConfig, blocks: list[dict]) -> MonteCarloResult:
-    """The metric arrays of cfg's lane blocks, stacked in index order."""
-    stacks = {name: np.concatenate([b[name] for b in blocks]) for name in METRIC_COLUMNS}
-    return MonteCarloResult(stacks, cfg)
 
 
 def run_points(cfgs: list[SimulationConfig], workers: int = 1) -> Iterator[MonteCarloResult]:
@@ -419,7 +415,7 @@ def run_points(cfgs: list[SimulationConfig], workers: int = 1) -> Iterator[Monte
     models = [resolve_model(cfg, loaded) for cfg in cfgs]
     if workers <= 1 or sum(cfg.realizations for cfg in cfgs) < 2:
         for cfg, lstm in zip(cfgs, models):
-            yield _merge(cfg, [realization_metrics(cfg, range(cfg.realizations), lstm)])
+            yield MonteCarloResult(realization_metrics(cfg, range(cfg.realizations), lstm), cfg)
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -431,7 +427,7 @@ def run_points(cfgs: list[SimulationConfig], workers: int = 1) -> Iterator[Monte
                 for cfg, lstm in zip(cfgs, models)
             ]
             for cfg, futures in zip(cfgs, pending):
-                yield _merge(cfg, [f.result() for f in futures])
+                yield MonteCarloResult(np.concatenate([f.result() for f in futures], axis=1), cfg)
                 futures.clear()  # free the blocks: pending lives to the end of the sweep
         except BaseException:
             pool.shutdown(cancel_futures=True)

@@ -195,34 +195,28 @@ def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[Predi
 def predict_backlogs(predictor: LstmPredictor, histories) -> list[PredictionResult]:
     """The estimate of each of several equally long histories, in one forward pass.
 
-    Each equals predict_backlog of its history alone, exactly.
+    Each equals the estimate of its history passed alone, exactly.
     """
     if not histories[0]:
         raise ValueError("history is empty")
     return predict_windows(predictor, state_fractions(histories))
 
 
-def predict_backlog(predictor: LstmPredictor, rows) -> PredictionResult:
-    """Run both class models over one history in one pass; round and clamp to population."""
-    return predict_backlogs(predictor, (rows,))[0]
-
-
-def training_pairs(trace, backlog_u, backlog_m, t_w, population_u, population_m):
+def training_pairs(trace, t_w, population_u, population_m):
     """Turn one simulated trace of more than t_w FrameResults into windows and targets.
 
     Returns x of shape (2, n, t_w, 3) and y of shape (2, n), URLLC first,
     with n = frames - t_w: window j holds the state fractions of frames
     j .. j + t_w - 1 and is paired with the normalized backlog of frame
-    j + t_w, matching what the predictor must do online. x is a read-only
-    view of the trace's fraction table.
+    j + t_w, its active counts, matching what the predictor must do online.
+    x is a read-only view of the trace's fraction table.
     """
-    if not (len(trace) == len(backlog_u) == len(backlog_m)):
-        raise ValueError("trace columns must have equal length")
     if not 0 < t_w < len(trace):
         raise ValueError(f"a trace of {len(trace)} frames has no window of t_w={t_w}")
     fractions = state_fractions([trace])[0, :, :-1]
     x = sliding_window_view(fractions, t_w, axis=1).swapaxes(-1, -2)
-    backlog = np.array([backlog_u[t_w:], backlog_m[t_w:]], dtype=float)
+    targets = trace[t_w:]
+    backlog = np.array([[fr.active_u for fr in targets], [fr.active_m for fr in targets]], float)
     return x, backlog / np.array([[population_u], [population_m]])
 
 

@@ -144,7 +144,7 @@ def _fmt_column(values: list[float]) -> Iterator[str]:
 
 def write_point_csv(path: str, result: MonteCarloResult):
     """Per-frame means across realizations, one row per frame."""
-    columns = [_fmt_column(result.mean(name).tolist()) for name in METRIC_COLUMNS]
+    columns = [_fmt_column(mean) for mean in nanmean_quiet(result.metrics, axis=1).tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("frame," + ",".join(METRIC_COLUMNS) + "\n")
         fh.writelines(f"{t},{','.join(row)}\n" for t, row in enumerate(zip(*columns)))
@@ -152,12 +152,8 @@ def write_point_csv(path: str, result: MonteCarloResult):
 
 def steady_point_summary(result: MonteCarloResult) -> dict[str, tuple[float, float]]:
     """Steady-window scalar per realization, then mean +/- stderr across them."""
-    start = result.cfg.steady_start
-    out = {}
-    for name in METRIC_COLUMNS:
-        per_real = nanmean_quiet(result.stacks[name][:, start:], axis=1)
-        out[name] = mean_and_stderr(per_real)
-    return out
+    per_real = nanmean_quiet(result.metrics[:, :, result.cfg.steady_start :], axis=2)
+    return dict(zip(METRIC_COLUMNS, map(mean_and_stderr, per_real)))
 
 
 def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:

@@ -88,20 +88,15 @@ def urllc_activation_profile(cfg: TrafficConfig) -> tuple[float, ...]:
 
 
 def sample_urllc_arrivals(
-    cfg: TrafficConfig, t: int, rng: np.random.Generator, profile=None
+    cfg: TrafficConfig, t: int, rng: np.random.Generator, profile: tuple[float, ...]
 ) -> int:
     """New URLLC packets in frame t, binomial with the periodic Beta profile.
 
-    A caller that draws every frame passes ``profile``, the table of
-    urllc_activation_profile, so the profile is not evaluated each frame.
+    ``profile`` is the table of urllc_activation_profile, built once per run.
     """
-    if profile is None:
-        p = beta_activation_profile(cfg, t)
-    elif t < 0:
+    if t < 0:
         raise ValueError("frame index must be non-negative")
-    else:
-        p = profile[t % cfg.t_u]
-    return int(rng.binomial(cfg.k_u, p))
+    return int(rng.binomial(cfg.k_u, profile[t % cfg.t_u]))
 
 
 def update_backlog(

@@ -2,9 +2,10 @@
 
 Traces are produced by the grant-free engine (no barring round) so the
 channel states reflect raw contention, then cut into (window, next backlog)
-pairs per use mode. Validation always happens on a trace the models never
-saw, and the moment-matching baseline is scored on the same held-out frames
-for a like-for-like comparison.
+pairs per use mode. Each target backlog is a frame's active count, read from
+the trace's FrameResult. Validation always happens on a trace the models
+never saw, and the moment-matching baseline is scored on the same held-out
+frames for a like-for-like comparison.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .predictor import (
 
 
 def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
-    """Grant-free trace: its FrameResults and true per-mode backlogs."""
+    """Grant-free trace, one FrameResult per frame; its active counts are the true backlogs."""
     trace_cfg = dataclasses.replace(
         cfg,
         acb="gf",
@@ -36,10 +37,7 @@ def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
         frames=frames,
         seed=seed,
     )
-    results = run_simulation(trace_cfg)
-    backlog_u = [fr.active_u for fr in results]
-    backlog_m = [fr.active_m for fr in results]
-    return results, backlog_u, backlog_m
+    return run_simulation(trace_cfg)
 
 
 @dataclass
@@ -72,8 +70,8 @@ def train_backlog_predictor(
     tc = cfg.traffic
     val_samples = max(1, samples // 5)
 
-    trace, bu, bm = generate_trace(cfg, samples + cfg.t_w, seed=cfg.seed)
-    x, y = training_pairs(trace, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
+    trace = generate_trace(cfg, samples + cfg.t_w, seed=cfg.seed)
+    x, y = training_pairs(trace, cfg.t_w, tc.k_u, tc.k_m)
 
     rngs = [
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(key,)))
@@ -84,8 +82,8 @@ def train_backlog_predictor(
     )
     predictor = LstmPredictor(model_u, model_m, tc.k_u, tc.k_m, cfg.t_w)
 
-    v_trace, v_bu, v_bm = generate_trace(cfg, val_samples + cfg.t_w, seed=cfg.seed + 7919)
-    lstm_pred, naive_pred, truth = _score_on_trace(predictor, cfg, v_trace, v_bu, v_bm)
+    v_trace = generate_trace(cfg, val_samples + cfg.t_w, seed=cfg.seed + 7919)
+    lstm_pred, naive_pred, truth = _score_on_trace(predictor, cfg, v_trace)
     report = TrainingReport(
         train_mse_u=hist_u[-1],
         train_mse_m=hist_m[-1],
@@ -99,19 +97,21 @@ def train_backlog_predictor(
     return predictor, report
 
 
-def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace, bu, bm):
-    """Per-frame predictions of both estimators over one held-out trace.
+def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace):
+    """Per-frame predictions of both estimators over one held-out trace, and the truth.
 
     Every frame after the first t_w is predicted from the t_w frames before
-    it; the LSTM scores all those windows as lanes of one forward pass.
+    it; the LSTM scores all those windows as lanes of one forward pass. The
+    truth is each predicted frame's active counts.
     """
     tc = cfg.traffic
-    windows, _ = training_pairs(trace, bu, bm, cfg.t_w, tc.k_u, tc.k_m)
+    windows, _ = training_pairs(trace, cfg.t_w, tc.k_u, tc.k_m)
     lstm_est = predict_windows(predictor, windows.swapaxes(0, 1))
     prior = cold_start_prior(tc)
     # the naive estimate reads the last frame only
     naive_est = [naive_predict((fr,), tc.k_u, tc.k_m, prior) for fr in trace[cfg.t_w - 1 : -1]]
     lstm_pred = {"u": [e.k_hat_u for e in lstm_est], "m": [e.k_hat_m for e in lstm_est]}
     naive_pred = {"u": [e.k_hat_u for e in naive_est], "m": [e.k_hat_m for e in naive_est]}
-    truth = {"u": bu[cfg.t_w :], "m": bm[cfg.t_w :]}
+    tail = trace[cfg.t_w :]
+    truth = {"u": [fr.active_u for fr in tail], "m": [fr.active_m for fr in tail]}
     return lstm_pred, naive_pred, truth

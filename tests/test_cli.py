@@ -6,7 +6,7 @@ import pytest
 
 from rasim.cli import main
 from rasim.config import ConfigError, config_hash, load_config
-from rasim.engine import METRIC_COLUMNS, SimulationConfig, realization_metrics, run_monte_carlo
+from rasim.engine import SimulationConfig, realization_metrics, run_monte_carlo
 
 
 @pytest.fixture
@@ -245,13 +245,12 @@ class TestModelFiles:
 
     def test_each_lane_equals_its_realization_run_alone(self, cfg_file, model_file):
         cfg = load_config(cfg_file(self._lstm_point(model_file)))
-        stacks = run_monte_carlo(cfg).stacks
+        result = run_monte_carlo(cfg)
         for i in range(cfg.realizations):
             alone = realization_metrics(cfg, range(i, i + 1))
-            for name in METRIC_COLUMNS:
-                assert np.array_equal(stacks[name][i], alone[name][0], equal_nan=True), (i, name)
+            assert np.array_equal(result.metrics[:, i], alone[:, 0], equal_nan=True), i
         # the estimates, and so the URLLC slices, differ from lane to lane
-        assert len({tuple(row) for row in stacks["l_u"].tolist()}) == cfg.realizations
+        assert len({tuple(row) for row in result.stacks["l_u"].tolist()}) == cfg.realizations
 
 
 class TestExitCodes:
@@ -274,6 +273,42 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "runtime failure" in err and "config error" not in err
+
+    def test_internal_file_not_found_exits_2(self, cfg_file, tmp_path, capsys, monkeypatch):
+        # every input file is read through errors.read_text, which raises ConfigError
+        import rasim.cli
+
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("an internal file")
+
+        monkeypatch.setattr(rasim.cli, "run_scenario", missing)
+        assert main(["simulate", "--config", cfg_file(""), "--out", str(tmp_path / "out")]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,out", [
+        pytest.param("simulate", "{file}/sub", id="simulate-under-a-file"),
+        pytest.param("simulate", "{file}", id="simulate-onto-a-file"),
+        pytest.param("train", "{tmp}/missing/m.txt", id="train-into-a-missing-directory"),
+        pytest.param("train", "{file}/m.txt", id="train-under-a-file"),
+        pytest.param("train", "{tmp}", id="train-onto-a-directory"),
+    ])
+    def test_unwritable_out_exits_1_before_any_work(
+        self, cfg_file, tmp_path, capsys, monkeypatch, command, out
+    ):
+        # an unwritable directory is not among the cases: a process run as root writes
+        # through permission bits, so the case cannot be built there
+        import rasim.cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(rasim.cli, "run_scenario", work)
+        monkeypatch.setattr(rasim.cli, "train_backlog_predictor", work)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = out.replace("{file}", str(blocker)).replace("{tmp}", str(tmp_path))
+        assert main([command, "--config", cfg_file(""), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--frames", "0"],

@@ -269,14 +269,14 @@ class TestDeterminism:
         fwd = [realization_metrics(cfg, range(i, i + 1)) for i in range(4)]
         rev = [realization_metrics(cfg, range(i, i + 1)) for i in (3, 2, 1, 0)][::-1]
         for a, b in zip(fwd, rev):
-            for key in a:
-                assert np.array_equal(a[key], b[key], equal_nan=True)
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_distinct_realizations_differ(self):
         cfg = make_config(frames=30, slicer="counts:2,10", seed=7)
         a = realization_metrics(cfg, range(0, 1))
         b = realization_metrics(cfg, range(1, 2))
-        assert not np.array_equal(a["eta"], b["eta"], equal_nan=True)
+        eta = METRIC_COLUMNS.index("eta")
+        assert not np.array_equal(a[eta], b[eta], equal_nan=True)
 
     def test_seed_sequence_spawn_equivalence(self):
         direct = realization_seed(123, 5)
@@ -318,8 +318,7 @@ class TestMonteCarlo:
         block = realization_metrics(cfg, range(1, 4))
         for row, i in enumerate(range(1, 4)):
             alone = realization_metrics(cfg, range(i, i + 1))
-            for key in alone:
-                assert np.array_equal(block[key][row], alone[key][0], equal_nan=True)
+            assert np.array_equal(block[:, row], alone[:, 0], equal_nan=True)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_parallel_matches_serial(self, tmp_path, model_file, workers):
@@ -338,8 +337,7 @@ class TestMonteCarlo:
             cfg = point.cfg
             for i in range(cfg.realizations):  # each row is its realization run alone
                 alone = realization_metrics(cfg, range(i, i + 1))
-                for name in METRIC_COLUMNS:
-                    assert np.array_equal(result.stacks[name][i], alone[name][0], equal_nan=True)
+                assert np.array_equal(result.metrics[:, i], alone[:, 0], equal_nan=True)
             write_point_csv(str(tmp_path / "alone.csv"), result)
             written = (tmp_path / "out" / f"{point.label}.csv").read_bytes()
             assert written == (tmp_path / "alone.csv").read_bytes()

@@ -5,15 +5,22 @@ frames, seed 5, and one naive-predictor maxrect run of the same size. A change
 to the frame step that claims bit-identical outputs must keep every digest.
 Model files and the LSTM path go through BLAS and are left out, as is
 manifest.json, which names the package version and the config hash.
+
+numpy may change its generator streams between versions, so the digests hold
+for the numpy they were recorded with, RECORDED_NUMPY. Under another numpy a
+mismatch names both versions: it may be a stream change, not a rasim fault.
 """
 
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from rasim.engine import SimulationConfig
 from rasim.scenarios import PRESETS, Scenario, ScenarioPoint, run_scenario
+
+RECORDED_NUMPY = "2.4.6"  # the numpy version GOLDEN was recorded and verified with
 
 GOLDEN = {
     'fig3': {
@@ -86,4 +93,6 @@ def test_csv_bytes_match_golden_digests(tmp_path, name):
     written = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
     }
-    assert written == GOLDEN[name]
+    assert written == GOLDEN[name], (
+        f"digests recorded with numpy {RECORDED_NUMPY}, this run has numpy {np.__version__}"
+    )

@@ -14,7 +14,6 @@ from rasim.predictor import (
     estimate_from_idle,
     load_predictor,
     naive_predict,
-    predict_backlog,
     predict_backlogs,
     save_predictor,
     state_fractions,
@@ -109,19 +108,19 @@ class TestLstmPredictions:
     def test_clamped_above_population(self, rng):
         # raw head output 1.2 clamps to 1.0, so the estimate is the population
         pred = self._predictor(rng, b_out_u=1.2, b_out_m=1.2)
-        res = predict_backlog(pred, [row(0)])
+        (res,) = predict_backlogs(pred, [[row(0)]])
         assert (res.k_hat_u, res.k_hat_m) == (25, 1000)
 
     def test_rounding_and_scaling(self, rng):
         pred = self._predictor(rng, b_out_u=0.1, b_out_m=0.0301)
-        res = predict_backlog(pred, [row(0)])
+        (res,) = predict_backlogs(pred, [[row(0)]])
         assert res.k_hat_u == round(0.1 * 25)
         assert res.k_hat_m == round(0.0301 * 1000)
 
     def test_empty_history_rejected(self, rng):
         pred = self._predictor(rng)
         with pytest.raises(ValueError):
-            predict_backlog(pred, deque(maxlen=4))
+            predict_backlogs(pred, [deque(maxlen=4)])
 
     def test_invariant_to_channel_count_scale(self, rng):
         # doubling every raw count leaves the normalized window, and hence the
@@ -129,7 +128,7 @@ class TestLstmPredictions:
         pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
         h1 = [row(t, u=(1, 2, 3), m=(5, 6, 7)) for t in range(4)]
         h2 = [row(t, u=(2, 4, 6), m=(10, 12, 14)) for t in range(4)]
-        assert predict_backlog(pred, h1) == predict_backlog(pred, h2)
+        assert predict_backlogs(pred, [h1]) == predict_backlogs(pred, [h2])
 
     def test_several_histories_in_one_pass(self, rng):
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(6, rng=rng, scale=1.0)
@@ -143,7 +142,7 @@ class TestLstmPredictions:
         windows = state_fractions(hists)
         assert np.array_equal(windows, np.concatenate([state_fractions([h]) for h in hists]))
         estimates = predict_backlogs(pred, hists)
-        assert estimates == [predict_backlog(pred, h) for h in hists]
+        assert estimates == [predict_backlogs(pred, [h])[0] for h in hists]
         assert len(set(estimates)) > 1
 
     def test_histories_of_unequal_length_rejected(self, rng):
@@ -174,26 +173,26 @@ class TestLstmPredictions:
 
 class TestTrainingPairs:
     def test_window_precedes_target(self):
-        trace = [row(t, u=(t, 0, 0), m=(0, 0, t)) for t in range(7)]
-        bu = [10 * t for t in range(7)]
-        bm = [100 * t for t in range(7)]
-        x, y = training_pairs(trace, bu, bm, t_w=3, population_u=100, population_m=1000)
+        # frame t holds 10 t active URLLC UEs (new + retry) and 100 t mMTC ones
+        trace = [
+            row(t, u=(t, 0, 0), m=(0, 0, t))._replace(
+                new_u=4 * t, retry_u=6 * t, new_m=30 * t, retry_m=70 * t)
+            for t in range(7)
+        ]
+        x, y = training_pairs(trace, t_w=3, population_u=100, population_m=1000)
         assert x.shape[1] == 4  # targets at t = 3..6
         first_window, first_target = x[0, 0], y[0, 0]
         assert first_window.shape == (3, 3)
         assert first_target == pytest.approx(30 / 100)
+        assert y.tolist() == [[t / 10 for t in range(3, 7)], [t / 10 for t in range(3, 7)]]
         # window rows correspond to frames 0..2 (success fraction t/t = 1 for t>0)
         assert first_window[0].tolist() == [0.0, 0.0, 0.0]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            training_pairs([row(0)], [1, 2], [1], 3, 10, 10)
 
     def test_trace_without_a_full_window_rejected(self):
         for frames in (0, 2, 3):
             trace = [row(t) for t in range(frames)]
             with pytest.raises(ValueError, match="t_w=3"):
-                training_pairs(trace, [1] * frames, [1] * frames, 3, 10, 10)
+                training_pairs(trace, 3, 10, 10)
 
 
 class TestSerialization:
@@ -210,7 +209,7 @@ class TestSerialization:
         assert loaded.population_u == 25 and loaded.population_m == 1000
         assert loaded.t_w == 8
         hist = [row(0)]
-        assert predict_backlog(loaded, hist) == predict_backlog(pred, hist)
+        assert predict_backlogs(loaded, [hist]) == predict_backlogs(pred, [hist])
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
 

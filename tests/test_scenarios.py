@@ -1,14 +1,14 @@
-import json
 import math
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_config
 
-from rasim.cli import main
-from rasim.engine import METRIC_COLUMNS, MonteCarloResult, SimulationConfig
+from rasim.engine import METRIC_COLUMNS, MonteCarloResult, SimulationConfig, nanmean_quiet
+from rasim.metrics import mean_and_stderr
 from rasim.scenarios import (
     PRESETS,
     Scenario,
@@ -18,6 +18,7 @@ from rasim.scenarios import (
     preset_fig4,
     preset_fig5,
     run_scenario,
+    steady_point_summary,
     urllc_reservation_ramp,
     write_point_csv,
 )
@@ -109,19 +110,6 @@ class TestSettingsParsedOnce:
         assert len(manifest["points"]) == 7
 
 
-class TestRuntimeFailureExitCode:
-    def test_unwritable_output_maps_to_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"frames": 2, "slicer": "counts:1,2"}))
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        code = main(
-            ["simulate", "--config", str(cfg), "--out", str(blocker / "sub")]
-        )
-        assert code == 2
-        assert "runtime failure" in capsys.readouterr().err
-
-
 class TestSweepFailure:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_point_stops_sweep_after_earlier_points(self, tmp_path, monkeypatch, workers):
@@ -152,12 +140,55 @@ class TestPointCsv:
         # each distinct value is formatted once; every cell must still read as _fmt of its value
         special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e15, 0.5, 1 / 3]
         column = np.array(special * 5)
-        stacks = {name: np.roll(column, i)[None, :] for i, name in enumerate(METRIC_COLUMNS)}
-        result = MonteCarloResult(stacks, SimulationConfig(frames=column.size))
+        metrics = np.array([np.roll(column, i)[None, :] for i in range(len(METRIC_COLUMNS))])
+        result = MonteCarloResult(metrics, SimulationConfig(frames=column.size))
         path = tmp_path / "point.csv"
         write_point_csv(str(path), result)
-        cells = [result.mean(name).tolist() for name in METRIC_COLUMNS]
+        cells = metrics[:, 0].tolist()  # one realization: each frame's mean is its value
         expect = ["frame," + ",".join(METRIC_COLUMNS)]
         expect += [f"{t}," + ",".join(_fmt(v) for v in row) for t, row in enumerate(zip(*cells))]
         assert path.read_text() == "\n".join(expect) + "\n"
         assert {_fmt(v) for v in special} <= set(path.read_text().replace("\n", ",").split(","))
+
+
+def _bits(values) -> list[str]:
+    """Each float exactly, as its hex form: -0.0 and 0.0 differ, every NaN reads 'nan'."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestOneCallReductions:
+    """The frame means and the steady summary reduce every column in one call each.
+
+    Each column must come out bit for bit as its own per-column reduction.
+    """
+
+    @pytest.mark.parametrize("realizations", [1, 2, 25])
+    def test_equal_the_per_column_reductions(self, tmp_path, realizations):
+        frames = 400
+        rng = np.random.default_rng(realizations)
+        metrics = rng.normal(0.0, 1e3, size=(len(METRIC_COLUMNS), realizations, frames))
+        metrics[1] = np.nan  # an all-NaN column
+        metrics[2][rng.random((realizations, frames)) < 0.3] = np.nan  # a partly-NaN column
+        cfg = SimulationConfig(frames=frames, realizations=realizations, steady_fraction=0.3)
+        result = MonteCarloResult(metrics, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
+            frame_means = [np.nanmean(column, axis=0) for column in metrics]
+            steady = [
+                mean_and_stderr(np.nanmean(column[:, cfg.steady_start :], axis=1))
+                for column in metrics
+            ]
+
+        assert _bits(nanmean_quiet(metrics, axis=1)) == _bits(frame_means)
+        path = tmp_path / "point.csv"
+        write_point_csv(str(path), result)
+        expect = ["frame," + ",".join(METRIC_COLUMNS)]
+        expect += [
+            f"{t}," + ",".join(_fmt(v) for v in row)
+            for t, row in enumerate(zip(*(m.tolist() for m in frame_means)))
+        ]
+        assert path.read_text() == "\n".join(expect) + "\n"
+
+        summary = steady_point_summary(result)
+        assert list(summary) == list(METRIC_COLUMNS)
+        assert _bits(list(summary.values())) == _bits(steady)

@@ -71,20 +71,22 @@ class TestArrivalSampling:
         assert profile == tuple(beta_activation_profile(cfg, t) for t in range(7))
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
         for t in range(30):
-            assert sample_urllc_arrivals(cfg, t, r1, profile) == sample_urllc_arrivals(cfg, t, r2)
+            expected = r2.binomial(cfg.k_u, beta_activation_profile(cfg, t))
+            assert sample_urllc_arrivals(cfg, t, r1, profile) == expected
         assert r1.bit_generator.state == r2.bit_generator.state
         with pytest.raises(ValueError):
             sample_urllc_arrivals(cfg, -1, r1, profile)
 
     def test_urllc_zero_phase(self, rng):
         cfg = TrafficConfig(k_u=25, alpha=3, beta=4, t_u=10)
-        assert sample_urllc_arrivals(cfg, 0, rng) == 0
+        assert sample_urllc_arrivals(cfg, 0, rng, urllc_activation_profile(cfg)) == 0
 
     def test_urllc_peak_mean(self, rng):
         cfg = TrafficConfig(k_u=25, alpha=3, beta=4, t_u=10)
         p = beta_activation_profile(cfg, 4)
         trials = 4000
-        draws = [sample_urllc_arrivals(cfg, 4, rng) for _ in range(trials)]
+        profile = urllc_activation_profile(cfg)
+        draws = [sample_urllc_arrivals(cfg, 4, rng, profile) for _ in range(trials)]
         sigma = math.sqrt(25 * p * (1 - p) / trials)
         assert abs(np.mean(draws) - 25 * p) < 3 * sigma
 
@@ -93,8 +95,9 @@ class TestArrivalSampling:
         cfg = TrafficConfig(k_u=25, alpha=3, beta=4, t_u=10)
         profile_sum = sum(beta_activation_profile(cfg, t) for t in range(10))
         periods = 4000
+        profile = urllc_activation_profile(cfg)
         total = sum(
-            sample_urllc_arrivals(cfg, t, rng) for _ in range(periods) for t in range(10)
+            sample_urllc_arrivals(cfg, t, rng, profile) for _ in range(periods) for t in range(10)
         )
         expected = 25 * profile_sum
         var = sum(
@@ -107,10 +110,11 @@ class TestArrivalSampling:
         # every phase separately, three standard errors, >= 10^4 periods
         cfg = TrafficConfig(k_u=25, alpha=3, beta=4, t_u=10)
         periods = 10_000
+        profile = urllc_activation_profile(cfg)
         means = np.zeros(10)
         for tau in range(10):
             means[tau] = np.mean(
-                [sample_urllc_arrivals(cfg, tau, rng) for _ in range(periods)]
+                [sample_urllc_arrivals(cfg, tau, rng, profile) for _ in range(periods)]
             )
         for tau in range(10):
             p = beta_activation_profile(cfg, tau)
@@ -119,9 +123,10 @@ class TestArrivalSampling:
 
     def test_arrivals_never_exceed_population(self, rng):
         cfg = TrafficConfig(k_m=50, k_u=8, k_m_periodic=5, p_act=0.9, alpha=1, beta=1)
+        profile = urllc_activation_profile(cfg)
         for t in range(50):
             assert sample_mmtc_arrivals(cfg, t, rng) <= cfg.k_m
-            assert sample_urllc_arrivals(cfg, t, rng) <= cfg.k_u
+            assert sample_urllc_arrivals(cfg, t, rng, profile) <= cfg.k_u
 
 
 class TestBacklog:

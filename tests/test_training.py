@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_config
 
-from rasim.predictor import FrameResult, predict_backlog
+from rasim.predictor import FrameResult, predict_backlogs
 from rasim.training import generate_trace, train_backlog_predictor
 
 
@@ -22,8 +22,8 @@ def low_traffic_config(**kw):
 
 class TestTraceGeneration:
     def test_lengths_and_alignment(self):
-        trace, bu, bm = generate_trace(low_traffic_config(), frames=50, seed=1)
-        assert len(trace) == len(bu) == len(bm) == 50
+        trace = generate_trace(low_traffic_config(), frames=50, seed=1)
+        assert len(trace) == 50
         assert [fr.frame_index for fr in trace] == list(range(50))
 
     def test_trace_ignores_barring_and_predictor_settings(self):
@@ -33,9 +33,7 @@ class TestTraceGeneration:
 
         base = low_traffic_config()
         other = dataclasses.replace(base, acb=AcbPolicy("opt-inv"), predictor="naive")
-        a = generate_trace(base, frames=30, seed=5)
-        b = generate_trace(other, frames=30, seed=5)
-        assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
+        assert generate_trace(base, frames=30, seed=5) == generate_trace(other, frames=30, seed=5)
 
 
 class TestTrainBacklogPredictor:
@@ -61,7 +59,7 @@ class TestTrainBacklogPredictor:
         )
         # 5 URLLC and 49 mMTC channels, all idle
         hist = [FrameResult(t, 0, 0, 0, 0, 0, 0, 5, 49, 0, 0, 0, 0) for t in range(10)]
-        res = predict_backlog(predictor, hist)
+        (res,) = predict_backlogs(predictor, [hist])
         assert res.k_hat_m <= 0.02 * 500
 
     def test_invalid_sizes_rejected(self):
