@@ -11,7 +11,7 @@ per collided channel, against the closed-form probabilities that 0 or 1 of
 its k contenders pass a factor f, (1-f)^k and k f (1-f)^(k-1). This is the
 exact distribution of barring each contender on its own. The two thresholds
 depend only on the policy and k: for k below TABLE_CAP they are read from a
-table per policy, filled once by the same expression that serves larger k.
+table per policy, filled once by the expression a channel past it computes.
 
 Two "optimal" flavours are shipped: ``opt-inv`` passes each of n colliders
 with probability 1/n (maximizes the chance that exactly one survives) and
@@ -96,8 +96,8 @@ def _thresholds(policy: AcbPolicy, k: int) -> tuple[float, float]:
 
 # Contender counts below this read their thresholds from a table per policy:
 # 2 x 8 bytes x TABLE_CAP per policy, built on the policy's first draw. fig4's
-# busiest channels hold ~1640 contenders; a draw with a channel at or past the
-# cap (fig5 has some) takes every channel's thresholds from _thresholds.
+# busiest channels hold ~1640 contenders; a channel at or past the cap (fig5
+# has some) computes its own thresholds with _thresholds.
 TABLE_CAP = 2048
 _TABLES: dict[tuple[str, float], tuple[memoryview, memoryview]] = {}
 
@@ -119,35 +119,35 @@ def _threshold_table(policy: AcbPolicy) -> tuple[memoryview, memoryview]:
 
 
 def collided_outcomes(
-    policy: AcbPolicy, loaded: list[int], rng: np.random.Generator
+    policy: AcbPolicy, counts: list[int], rng: np.random.Generator
 ) -> tuple[int, int]:
     """(alone, emptied): how many collided channels barring leaves with one UE, and with none.
 
-    ``loaded`` holds the contender count k (>= 2) of each collided channel, in
-    channel order; a channel counted in neither stays collided. Grant-free and
-    a static factor of 1 bar nobody: they draw nothing and return (0, 0). Every
-    other policy draws one uniform u per channel, in channel order, in one
-    ``rng.random`` call. With the channel's factor f, it ends empty if
+    ``counts`` holds each channel's contender count k, in channel order; idle
+    and singleton channels (k < 2) are never barred and are skipped. A
+    collided channel counted in neither stays collided. Grant-free and a
+    static factor of 1 bar nobody: they draw nothing and return (0, 0). Every
+    other policy draws one uniform u per collided channel, in channel order,
+    in one ``rng.random`` call. With the channel's factor f, it ends empty if
     u < (1-f)^k, alone if u < (1-f)^k + k f (1-f)^(k-1), and collided
     otherwise: the Binomial(k, f) survivor count, classed as 0, 1 or more.
     """
     if not policy.bars:
         return 0, 0
-    draws = rng.random(len(loaded)).tolist()
+    draws = iter(rng.random(len(counts) - counts.count(0) - counts.count(1)).tolist())
     empty_at, alone_at = _threshold_table(policy)
     alone = emptied = 0
-    try:
-        for k, u in zip(loaded, draws):
+    for k in counts:
+        if k < 2:
+            continue
+        u = next(draws)
+        try:
             if u < empty_at[k]:
                 emptied += 1
             elif u < alone_at[k]:
                 alone += 1
-    except IndexError:  # a count past the table: every channel's thresholds from the rule
-        alone = emptied = 0
-        for k, u in zip(loaded, draws):
+        except IndexError:  # a count past the table: its thresholds from the rule
             empty, below_alone = _thresholds(policy, k)
-            if u < empty:
-                emptied += 1
-            elif u < below_alone:
-                alone += 1
+            emptied += u < empty
+            alone += empty <= u < below_alone
     return alone, emptied

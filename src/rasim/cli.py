@@ -71,10 +71,12 @@ def cmd_simulate(args) -> int:
         scenario = PRESETS[args.preset](cfg)
     else:
         scenario = Scenario("run", (ScenarioPoint("run", cfg),))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:  # a file in the way, or a directory that cannot be made
-        raise ConfigError(f"--out {args.out}: cannot make the directory ({exc.strerror})") from None
+    # checked before any work; run_scenario makes it once the model files are read
+    existing = os.path.abspath(args.out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK):
+        raise ConfigError(f"--out {args.out}: {existing} is not a writable directory")
     manifest = run_scenario(scenario, args.out, workers=args.workers)
     print(f"wrote {len(manifest['outputs'])} file(s) to {args.out}")
     return 0

@@ -175,12 +175,11 @@ def contend_uniform(
     """
     if n_channels == 0:
         return 0, 0
-    counts = rng.multinomial(n_ues, _uniform_pvals(n_channels))
-    tally = counts.tolist()
+    tally = rng.multinomial(n_ues, _uniform_pvals(n_channels)).tolist()
     served = tally.count(1)
     collided = n_channels - served - tally.count(0)
     if collided and policy.bars:  # idle and singleton channels are never barred
-        alone, emptied = collided_outcomes(policy, [k for k in tally if k >= 2], rng)
+        alone, emptied = collided_outcomes(policy, tally, rng)
         served += alone
         collided -= alone + emptied
     return served, collided
@@ -402,21 +401,28 @@ def lane_blocks(realizations: int, parts: int) -> list[range]:
 def run_points(cfgs: list[SimulationConfig], workers: int = 1) -> Iterator[MonteCarloResult]:
     """The one sweep runner: yields each config's realizations, merged in index order.
 
-    Each model file is read once and checked against every config before the
-    first point runs. Serially a point runs as one block of lanes. With
-    workers > 1 and two or more realizations in all, every point's
-    realizations go to one process pool as at most `workers` contiguous blocks
-    each, all submitted before the first result is collected; lanes draw as if
-    run alone, so the split changes no result. On an error, or when the caller
-    closes the generator, tasks not yet started are cancelled. concurrent.futures
-    is imported only here, so serial runs never load it.
+    Each model file is read once and checked against every config in the
+    call, before the caller can make or write anything. Serially a point runs
+    as one block of lanes. With workers > 1 and two or more realizations in
+    all, every point's realizations go to one process pool as at most
+    `workers` contiguous blocks each, all submitted before the first result
+    is collected; lanes draw as if run alone, so the split changes no result.
+    On an error, or when the caller closes the generator, tasks not yet
+    started are cancelled. concurrent.futures is imported only for a pool, so
+    serial runs never load it.
     """
     loaded = {}
     models = [resolve_model(cfg, loaded) for cfg in cfgs]
     if workers <= 1 or sum(cfg.realizations for cfg in cfgs) < 2:
-        for cfg, lstm in zip(cfgs, models):
-            yield MonteCarloResult(realization_metrics(cfg, range(cfg.realizations), lstm), cfg)
-        return
+        return (
+            MonteCarloResult(realization_metrics(cfg, range(cfg.realizations), lstm), cfg)
+            for cfg, lstm in zip(cfgs, models)
+        )
+    return _pooled_points(cfgs, models, workers)
+
+
+def _pooled_points(cfgs, models, workers) -> Iterator[MonteCarloResult]:
+    """run_points' pooled path, started on the first point."""
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

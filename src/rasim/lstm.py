@@ -10,10 +10,10 @@ differences in the test suite).
 
 Gate order in the stacked weight matrices is forget, input, output, candidate.
 
-Several models run as one: ``stack_models`` gives their arrays a leading
-class axis, and the forward and backward passes take any number of leading
-class axes, so every numpy call serves all the models at once. Model c of a
-stack computes exactly what it computes alone.
+Several models of one hidden size run as one: ``stack_models`` gives their
+arrays a leading class axis, and the forward and backward passes take any
+number of leading class axes, so every numpy call serves all the models at
+once. Model c of a stack computes exactly what it computes alone.
 """
 
 from __future__ import annotations
@@ -73,50 +73,28 @@ def init_lstm(
     return model
 
 
-def _by_gate(a: np.ndarray) -> np.ndarray:
-    """View of a gate-stacked array (4*hidden, ...) as (4, hidden, ...)."""
-    return a.reshape(4, -1, *a.shape[1:])
+_ARRAYS = ("w_x", "w_h", "b", "w_out")  # an LstmModel's array fields, in order
 
 
 def stack_models(models) -> LstmModel:
     """One model whose arrays carry a leading class axis, entry c being models[c].
 
-    A model with fewer hidden units than the largest is padded with zero
-    units: zero weights and bias in every gate and in the head. A zero unit's
-    candidate is tanh(0) = 0, so its cell and output stay exactly 0, it feeds
-    nothing into the other units, and its gradients are 0.
+    The models must share one hidden size; ValueError names the sizes if not.
     """
     models = list(models)
-    k, hd, n_in = len(models), max(m.hidden_size for m in models), models[0].input_size
-    out = LstmModel(
-        w_x=np.zeros((k, 4 * hd, n_in)),
-        w_h=np.zeros((k, 4 * hd, hd)),
-        b=np.zeros((k, 4 * hd)),
-        w_out=np.zeros((k, hd)),
-        b_out=np.zeros(k),
-    )
-    for c, m in enumerate(models):
-        h = m.hidden_size
-        _by_gate(out.w_x[c])[:, :h] = _by_gate(m.w_x)
-        _by_gate(out.w_h[c])[:, :h, :h] = _by_gate(m.w_h)
-        _by_gate(out.b[c])[:, :h] = _by_gate(m.b)
-        out.w_out[c, :h] = m.w_out
-        out.b_out[c] = m.b_out
-    return out
-
-
-def unstack_model(stacked: LstmModel, index: int, hidden_size: int) -> LstmModel:
-    """Model ``index`` of a stack, without padding units beyond ``hidden_size``.
-
-    The arrays are views into the stack when the model was not padded.
-    """
-    h = hidden_size
+    sizes = sorted({m.hidden_size for m in models})
+    if len(sizes) > 1:
+        raise ValueError(f"stacked models need one hidden size, not {sizes}")
     return LstmModel(
-        w_x=_by_gate(stacked.w_x[index])[:, :h].reshape(4 * h, -1),
-        w_h=_by_gate(stacked.w_h[index])[:, :h, :h].reshape(4 * h, h),
-        b=_by_gate(stacked.b[index])[:, :h].reshape(4 * h),
-        w_out=stacked.w_out[index, :h],
-        b_out=float(stacked.b_out[index]),
+        *(np.stack([getattr(m, name) for m in models]) for name in _ARRAYS),
+        b_out=np.array([m.b_out for m in models], dtype=float),
+    )
+
+
+def unstack_model(stacked: LstmModel, index: int) -> LstmModel:
+    """Model ``index`` of a stack; its arrays are views into the stack."""
+    return LstmModel(
+        *(getattr(stacked, name)[index] for name in _ARRAYS), b_out=float(stacked.b_out[index])
     )
 
 
@@ -247,10 +225,11 @@ def lstm_train(
 
     ``dataset`` is a tuple of arrays ``(x, y)`` with x of shape
     (k, n, t, input) and y (k, n): model c fits windows x[c] to targets y[c].
-    ``rng`` and ``model`` are sequences of k. Each model draws its init and
-    permutations from its own generator, is clipped by its own global norm and
-    is checked for divergence on its own, so model c comes out exactly as if
-    trained alone (k = 1) on (x[c:c+1], y[c:c+1]) with rng[c].
+    ``rng`` and ``model`` are sequences of k, the models of one hidden size
+    (ValueError otherwise). Each model draws its init and permutations from
+    its own generator, is clipped by its own global norm and is checked for
+    divergence on its own, so model c comes out exactly as if trained alone
+    (k = 1) on (x[c:c+1], y[c:c+1]) with rng[c].
 
     Targets must already be normalized to [0, 1]. Raises RuntimeError if a
     loss goes non-finite.
@@ -272,7 +251,6 @@ def lstm_train(
         model = [init_lstm(hidden_size, x.shape[-1], r) for r in rngs]
     if len(rngs) != k or len(model) != k:
         raise ValueError(f"{k} datasets need {k} generators and {k} models")
-    hidden = [m.hidden_size for m in model]
     stack = stack_models(model)
 
     classes = np.arange(k)[:, None]
@@ -298,5 +276,5 @@ def lstm_train(
             stack.b_out -= learning_rate * grads["b_out"][:, 0]
             epoch_loss += loss * idx.shape[1]
         losses.append(epoch_loss / n)
-    trained = [unstack_model(stack, c, h) for c, h in enumerate(hidden)]
+    trained = [unstack_model(stack, c) for c in range(k)]
     return trained, np.array(losses).T.tolist()

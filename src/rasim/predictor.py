@@ -149,8 +149,8 @@ def naive_predict(
 
 
 class LstmPredictor:
-    """Both class models as one stack (URLLC first), plus the constants needed
-    to denormalize.
+    """Both class models, of one hidden size, as one stack (URLLC first), plus
+    the constants needed to denormalize.
 
     The stack is built once, here, and holds the only copy of the weights;
     ``model_u`` and ``model_m`` read each class model back out of it.
@@ -165,18 +165,17 @@ class LstmPredictor:
         t_w: int = 10,
     ):
         self.stack = stack_models((model_u, model_m))
-        self.hidden = (model_u.hidden_size, model_m.hidden_size)
         self.population_u = population_u
         self.population_m = population_m
         self.t_w = t_w
 
     @property
     def model_u(self) -> LstmModel:
-        return unstack_model(self.stack, 0, self.hidden[0])
+        return unstack_model(self.stack, 0)
 
     @property
     def model_m(self) -> LstmModel:
-        return unstack_model(self.stack, 1, self.hidden[1])
+        return unstack_model(self.stack, 1)
 
 
 def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[PredictionResult]:
@@ -250,8 +249,9 @@ def save_predictor(predictor: LstmPredictor, path):
 def load_predictor(path) -> LstmPredictor:
     """Read a file written by save_predictor.
 
-    A malformed or truncated file, or one with a weight that is not finite,
-    raises ConfigError naming the file and the line at fault.
+    A malformed or truncated file, one with a weight that is not finite, or
+    one whose classes differ in hidden size raises ConfigError naming the
+    file and the line at fault.
     """
     lines = read_text(path).splitlines()
     line = 0  # number of the line being read
@@ -296,8 +296,8 @@ def load_predictor(path) -> LstmPredictor:
             header = (w_pop, w_hidden) == ("population", "hidden")
             if tag not in ("u", "m") or tag in models or not header:
                 raise ValueError("expected 'class <u|m> population <P> hidden <H>', once per class")
-            if h < 1:
-                raise ValueError("hidden must be >= 1")
+            if h < 1 or any(model.hidden_size != h for model in models.values()):
+                raise ValueError("hidden must be >= 1, and the same in both classes")
             pops[tag] = int(pop)
             models[tag] = LstmModel(
                 w_x=array("w_x", 4 * h, 3),

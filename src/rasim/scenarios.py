@@ -160,15 +160,17 @@ def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
     """Execute every sweep point, write CSVs, a summary table and a manifest.
 
     engine.run_points runs the points, with workers > 1 in one process pool.
-    Points are written in order, so a point that fails stops the sweep with
-    the earlier points written.
+    It reads and checks their model files first, so a bad model leaves no
+    out_dir behind. Points are written in order, so a point that fails stops
+    the sweep with the earlier points written.
     """
+    points = scenario.points
+    results = run_points([p.cfg for p in points], workers)
     os.makedirs(out_dir, exist_ok=True)
     summary_rows = []
     outputs = []
     point_meta = []
-    points = scenario.points
-    for point, result in zip(points, run_points([p.cfg for p in points], workers), strict=True):
+    for point, result in zip(points, results, strict=True):
         csv_name = f"{point.label}.csv"
         write_point_csv(os.path.join(out_dir, csv_name), result)
         outputs.append(csv_name)

@@ -135,6 +135,21 @@ class TestRound:
             assert (alone, emptied) == (expect_alone, expect_empty), loaded
             assert r1.bit_generator.state == r2.bit_generator.state
 
+    @pytest.mark.parametrize("policy", BARRING, ids=lambda p: p.label)
+    def test_a_tally_equals_its_collided_channels(self, policy):
+        # idle and singleton channels interleaved with counts on both sides of the cap
+        tally = [0, 5, 1, TABLE_CAP - 1, 0, 0, TABLE_CAP, 1, 2, 10**6, 1, 0, TABLE_CAP + 3, 40, 1]
+        collided = [k for k in tally if k >= 2]
+        for seed in range(20):
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert collided_outcomes(policy, tally, r1) == collided_outcomes(policy, collided, r2)
+            assert r1.bit_generator.state == r2.bit_generator.state
+        # a tally without a collided channel draws nothing
+        r1 = np.random.default_rng(0)
+        state = r1.bit_generator.state
+        assert collided_outcomes(policy, [0, 1, 1, 0], r1) == (0, 0)
+        assert r1.bit_generator.state == state
+
 
 class TestThresholdTable:
     """The per-policy table of barring thresholds, against the per-channel rule."""

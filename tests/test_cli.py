@@ -196,6 +196,32 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert "config error" in err and name in err and str(model_file) in err
 
+    @pytest.mark.parametrize("model,fields", [
+        pytest.param("{tmp}/missing.model", {}, id="missing-file"),
+        pytest.param("{model}", {"t_w": 3}, id="t_w-mismatch"),
+    ])
+    def test_model_error_leaves_no_out(self, cfg_file, tmp_path, capsys, model_file, model, fields):
+        model = model.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file))
+        assert self._simulate(cfg_file, tmp_path, model, **fields) == 1
+        assert model in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_classes_of_unequal_hidden_size_refused(self, cfg_file, tmp_path, capsys, model_file):
+        from rasim.lstm import init_lstm
+        from rasim.predictor import LstmPredictor, save_predictor
+
+        # the fixture's u model (hidden 4) with an m model of hidden 3
+        small = tmp_path / "small.model"
+        rng = np.random.default_rng(6)
+        save_predictor(LstmPredictor(init_lstm(3, rng=rng), init_lstm(3, rng=rng), 25, 1000), small)
+        lines, small_lines = model_file.read_text().splitlines(), small.read_text().splitlines()
+        header = lines.index("class m population 1000 hidden 4")
+        m_part = small_lines[small_lines.index("class m population 1000 hidden 3"):]
+        model_file.write_text("\n".join(lines[:header] + m_part) + "\n")
+        assert self._simulate(cfg_file, tmp_path, model_file) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{model_file}, line {header + 1}:" in err
+        assert "the same in both classes" in err
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_model_file_read_once_per_sweep(self, tmp_path, model_file, monkeypatch, workers):

@@ -131,7 +131,7 @@ class TestLstmPredictions:
         assert predict_backlogs(pred, [h1]) == predict_backlogs(pred, [h2])
 
     def test_several_histories_in_one_pass(self, rng):
-        model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(6, rng=rng, scale=1.0)
+        model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
         model_u.b_out = model_m.b_out = 0.3
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
         hists = [deque(maxlen=4) for _ in range(5)]
@@ -198,7 +198,7 @@ class TestTrainingPairs:
 class TestSerialization:
     def test_roundtrip_and_byte_stability(self, tmp_path, rng):
         pred = LstmPredictor(
-            init_lstm(5, rng=rng), init_lstm(3, rng=rng), 25, 1000, t_w=8
+            init_lstm(5, rng=rng), init_lstm(5, rng=rng), 25, 1000, t_w=8
         )
         p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
         save_predictor(pred, p1)
@@ -212,18 +212,6 @@ class TestSerialization:
         assert predict_backlogs(loaded, [hist]) == predict_backlogs(pred, [hist])
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
-
-    def test_smaller_model_is_padded_and_saved_unpadded(self, tmp_path, rng):
-        model_u, model_m = init_lstm(5, rng=rng), init_lstm(3, rng=rng)
-        pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=8)
-        assert pred.stack.w_h.shape == (2, 20, 5)
-        assert pred.model_m.hidden_size == 3
-        window = state_fractions([[row(t, u=(t % 3, 1, 2), m=(10, t, 34)) for t in range(8)]])[0]
-        raw_m = lstm_forward(pred.stack, window)[1]
-        assert raw_m == pytest.approx(lstm_forward(model_m, window[1]), rel=0, abs=1e-12)
-        path = tmp_path / "m.model"
-        save_predictor(pred, path)
-        assert "class m population 1000 hidden 3" in path.read_text()
 
     @pytest.mark.parametrize(
         "text,line",
