@@ -9,6 +9,8 @@ latest idle fraction instead.
 Takes around half a minute.
 """
 
+import numpy as np
+
 from rasim.engine import SimulationConfig
 from rasim.predictor import predict_backlogs
 from rasim.traffic import TrafficConfig
@@ -30,9 +32,10 @@ print(f"  naive nmse: urllc={report.naive_mse_u:.2e} mmtc={report.naive_mse_m:.2
 
 print("\ntracking a fresh trace (true vs predicted active UEs):")
 trace = generate_trace(cfg, 40, seed=2024)  # each frame's active counts are the truth
+table = np.array([trace])  # one lane's (1, frames, fields) table of FrameResult rows
 print(f"{'frame':>6} {'true u':>7} {'pred u':>7} {'true m':>7} {'pred m':>7}")
 for t in range(cfg.t_w, len(trace)):
     if t % 3 == 0:  # estimated from the history of frames t - t_w .. t - 1
-        (pred,) = predict_backlogs(predictor, [trace[t - cfg.t_w : t]])
+        (pred,) = predict_backlogs(predictor, table[:, t - cfg.t_w : t])
         fr = trace[t]
         print(f"{t:>6} {fr.active_u:>7} {pred.k_hat_u:>7} {fr.active_m:>7} {pred.k_hat_m:>7}")

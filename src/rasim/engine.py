@@ -8,12 +8,15 @@ remaining UE carry a decoded packet. Everyone else (collided, barred, or out
 of channels) retries next frame. Under the grant-free policy the barring step
 degenerates to a no-op, so success means being alone on the channel already
 at selection time.
+
+A point's realizations run as lanes in lockstep, and their FrameResults fill
+one (lanes, frames, fields) integer table: it is the history the naive and
+LSTM estimates read, and the metrics are reduced from it.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -115,7 +118,7 @@ class SimulationConfig:
     frames: int = 1200
     realizations: int = 1
     seed: int = 1
-    t_w: int = 10                # frames of history the naive and lstm predictors keep
+    t_w: int = 10                # frames of history the lstm predictor reads
     steady_fraction: float = 0.2
 
     def __post_init__(self):
@@ -188,7 +191,8 @@ def contend_uniform(
 class SimulationState:
     """Mutable per-realization state threaded through run_frame.
 
-    It holds no LSTM model: run_lanes sets lstm_estimate before each frame.
+    It holds no history and no model: from frame 1 on, run_lanes sets a naive
+    or LSTM lane's estimate before each frame.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -197,28 +201,20 @@ class SimulationState:
         self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
         self.frame = 0
         self.profile = urllc_activation_profile(cfg.traffic)
-        self._predictor = cfg.predictor.kind
-        # the last t_w frames, which only naive and lstm read
-        self.hist = None if self._predictor == PERFECT else deque(maxlen=cfg.t_w)
-        self.lstm_estimate = None  # this frame's LSTM estimate, from the history
+        self._perfect = cfg.predictor.kind == PERFECT
+        self.estimate = cold_start_prior(cfg.traffic)  # until run_lanes sets one
         self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
         if cfg.slicer.kind == FIXED:
             plan = fixed_grid_slice(cfg.grid, *cfg.slicer.counts)
             self._counts = (plan.l_u, plan.l_m)
         elif cfg.slicer.kind == COUNTS:
             self._counts = cfg.slicer.counts
-        self._prior = cold_start_prior(cfg.traffic)
 
     def predict(self) -> tuple[int, int]:
         """(k_hat_u, k_hat_m), this frame's backlog estimate."""
-        if self._predictor == PERFECT:
+        if self._perfect:
             return self.active_u, self.active_m  # the true backlog
-        if not self.hist:
-            return self._prior  # cold start: long-run mean arrivals
-        if self._predictor == NAIVE:
-            traffic = self.cfg.traffic
-            return naive_predict(self.hist, traffic.k_u, traffic.k_m, self._prior)
-        return self.lstm_estimate
+        return self.estimate
 
     def plan_for(self, pred: tuple[int, int]) -> tuple[int, int]:
         """Channel counts (l_u, l_m) of this frame's slice, given (k_hat_u, k_hat_m)."""
@@ -251,8 +247,6 @@ def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Genera
         t, new_u, new_m, retry_u, retry_m, *pred,
         l_u, l_m, served_u, served_m, collided_u, collided_m,
     )
-    if sim.hist is not None:
-        sim.hist.append(result)
     sim.failed_u = active_u - served_u
     sim.failed_m = active_m - served_m
     sim.frame += 1
@@ -289,33 +283,43 @@ def run_lanes(
     cfg: SimulationConfig,
     rngs: list[np.random.Generator],
     lstm: LstmPredictor | None = None,
-) -> Iterator[list[FrameResult]]:
-    """Realizations in lockstep, one lane per generator: yields each frame's lane results.
+) -> np.ndarray:
+    """Realizations in lockstep, one lane per generator: their (lanes, frames, fields) table.
 
-    Each lane has its own state and generator, and run_frame advances every
-    lane once per frame, so a lane draws exactly what it draws run alone. An
-    LSTM estimate depends on the history only, not on the frame's arrivals,
-    so one forward pass per frame makes every lane's estimate before the
-    lanes run that frame. ``lstm`` carries the model that run_points has read
-    and checked into pool workers; without it the model is read here.
+    Row [i, t] is lane i's FrameResult of frame t, and the table is the only
+    history a predictor reads. Each lane has its own state and generator, and
+    run_frame advances every lane once per frame, so a lane draws exactly what
+    it draws run alone. An estimate depends on the rows before the frame only,
+    not on its arrivals, so every lane's estimate is set before the lanes run
+    the frame: naive reads the last row, and one LSTM forward pass reads the
+    last t_w rows of every lane. ``lstm`` carries the model that run_points
+    has read and checked into pool workers; without it the model is read here.
     """
     if lstm is None:
         lstm = resolve_model(cfg)
     sims = [SimulationState(cfg) for _ in rngs]
-    hists = [sim.hist for sim in sims]
     lanes = list(zip(sims, rngs))
-    for frame in range(cfg.frames):
-        if lstm is not None and frame:  # frame 0 has no history: the cold-start prior
-            for sim, estimate in zip(sims, predict_backlogs(lstm, hists)):
-                sim.lstm_estimate = estimate
-        yield [run_frame(sim, cfg, rng) for sim, rng in lanes]
+    table = np.empty((len(rngs), cfg.frames, len(FrameResult._fields)), np.int64)
+    naive = cfg.predictor.kind == NAIVE
+    k_u, k_m, prior = cfg.traffic.k_u, cfg.traffic.k_m, cold_start_prior(cfg.traffic)
+    for t in range(cfg.frames):
+        if t and (naive or lstm is not None):  # frame 0 keeps the cold-start prior
+            if naive:
+                rows = table[:, t - 1].tolist()
+                estimates = [naive_predict(row, k_u, k_m, prior) for row in rows]
+            else:
+                estimates = predict_backlogs(lstm, table[:, max(0, t - cfg.t_w) : t])
+            for sim, estimate in zip(sims, estimates):
+                sim.estimate = estimate
+        table[:, t] = [run_frame(sim, cfg, rng) for sim, rng in lanes]
+    return table
 
 
 def run_simulation(cfg: SimulationConfig, rng: np.random.Generator | None = None) -> list[FrameResult]:
-    """One realization: cfg.frames frames with persistent backlog and history."""
+    """One realization: cfg.frames frames with persistent backlog."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return [results[0] for results in run_lanes(cfg, [rng])]
+    return [FrameResult(*row) for row in run_lanes(cfg, [rng])[0].tolist()]
 
 
 def realization_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -348,10 +352,7 @@ def realization_metrics(
     ``lstm`` is passed on to run_lanes: the checked model, carried into a pool worker.
     """
     rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in block]
-    table = np.empty((len(rngs), cfg.frames, len(FrameResult._fields)))
-    for frame, results in enumerate(run_lanes(cfg, rngs, lstm)):
-        table[:, frame] = results
-    fr = FrameResult(*np.moveaxis(table, -1, 0))  # fields over the lanes and frames
+    fr = FrameResult(*np.moveaxis(run_lanes(cfg, rngs, lstm), -1, 0))  # fields over lanes, frames
     active_u, active_m = fr.active_u, fr.active_m
     return np.array((
         normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m),
@@ -425,12 +426,13 @@ def _pooled_points(cfgs, models, workers) -> Iterator[MonteCarloResult]:
     """run_points' pooled path, started on the first point."""
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    blocks = [lane_blocks(cfg.realizations, workers) for cfg in cfgs]
+    # no more processes than blocks: the pool starts all of them on the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, sum(map(len, blocks)))) as pool:
         try:
             pending = [
-                [pool.submit(realization_metrics, cfg, block, lstm)
-                 for block in lane_blocks(cfg.realizations, workers)]
-                for cfg, lstm in zip(cfgs, models)
+                [pool.submit(realization_metrics, cfg, block, lstm) for block in cfg_blocks]
+                for cfg, lstm, cfg_blocks in zip(cfgs, models, blocks)
             ]
             for cfg, futures in zip(cfgs, pending):
                 yield MonteCarloResult(np.concatenate([f.result() for f in futures], axis=1), cfg)

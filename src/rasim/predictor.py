@@ -3,18 +3,18 @@
 The base station never sees the backlog directly, only how many channels of
 each mode ended a frame in success, collision or idle state. Each frame's
 outcome is one FrameResult, which holds the served and collided channel
-counts and the slice, so the idle count is l - served - collided. A lane's
-history is its last t_w FrameResults, oldest first. Three predictors are
-provided: the trained LSTM pair (one model per use mode), a moment-matching
-baseline that inverts the idle fraction of the last frame, and, for the
-perfect-knowledge experiments, the true backlog, which the engine reads itself.
+counts and the slice, so the idle count is l - served - collided. The engine
+keeps a point's FrameResults as one (lanes, frames, fields) integer table,
+and a window of history is a slice of it, oldest frame first. Three
+predictors are provided: the trained LSTM pair (one model per use mode), a
+moment-matching baseline that inverts the idle fraction of the last frame,
+and, for the perfect-knowledge experiments, the true backlog, which the
+engine reads itself.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -66,32 +66,25 @@ class FrameResult(NamedTuple):
         return self.active_m - self.served_m
 
 
-# a FrameResult's served, collided and channel counts, URLLC then mMTC
-_OUTCOME = itemgetter(*(
+# the columns of a FrameResult's served, collided and channel counts, URLLC then mMTC
+_OUTCOME = [
     FrameResult._fields.index(f"{name}_{mode}")
     for mode in "um"
     for name in ("served", "collided", "l")
-))
+]
 
 
-def state_fractions(histories) -> np.ndarray:
+def state_fractions(table: np.ndarray) -> np.ndarray:
     """(lanes, 2, frames, 3) success/collision/idle fractions per class, URLLC first.
 
-    histories are equally long sequences of FrameResults, one per lane, read
-    in one array conversion. Each frame's (served, collided, idle) triplet is
-    divided by that frame's channel count of the class; a frame without
-    channels of the class gives a zero row.
+    table holds FrameResult rows, shape (lanes, frames, fields). Each frame's
+    (served, collided, idle) triplet is divided by that frame's channel count
+    of the class; a frame without channels of the class gives a zero row.
     """
-    lanes, frames = len(histories), len(histories[0])
-    if any(len(rows) != frames for rows in histories):
-        raise ValueError("histories must be equally long")
-    values = chain.from_iterable(map(_OUTCOME, chain.from_iterable(histories)))
-    counts = np.fromiter(values, float, count=lanes * frames * 6).reshape(lanes, frames, 2, 3)
-    channels = np.maximum(counts[..., 2:], 1.0)  # a class without channels has no counts
-    counts[..., 2] -= counts[..., 0]
-    counts[..., 2] -= counts[..., 1]  # the idle channels
-    counts /= channels
-    return counts.swapaxes(1, 2)
+    counts = table[..., _OUTCOME].reshape(*table.shape[:-1], 2, 3)
+    channels = np.maximum(counts[..., 2:], 1)  # a class without channels has no counts
+    counts[..., 2] -= counts[..., 0] + counts[..., 1]  # the idle channels
+    return (counts / channels).swapaxes(1, 2)
 
 
 class PredictionResult(NamedTuple):
@@ -129,16 +122,14 @@ def estimate_from_idle(idle_count: int, channels: int, population: int) -> int:
 
 
 def naive_predict(
-    rows, population_u: int, population_m: int, prior: PredictionResult
+    row, population_u: int, population_m: int, prior: PredictionResult
 ) -> PredictionResult:
-    """Moment-based baseline using only the last FrameResult of a history.
+    """Moment-based baseline using only the last frame's FrameResult row.
 
     A mode without channels in that frame takes ``prior``: 0 would keep it
     without channels, and so unobserved, for good.
     """
-    if not rows:
-        raise ValueError("history is empty")
-    counts = _OUTCOME(rows[-1])
+    counts = [row[i] for i in _OUTCOME]
     out = []
     for (served, collided, channels), pop, fallback in zip(
         (counts[:3], counts[3:]), (population_u, population_m), prior
@@ -191,14 +182,12 @@ def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[Predi
     ]
 
 
-def predict_backlogs(predictor: LstmPredictor, histories) -> list[PredictionResult]:
-    """The estimate of each of several equally long histories, in one forward pass.
+def predict_backlogs(predictor: LstmPredictor, window: np.ndarray) -> list[PredictionResult]:
+    """Each lane's estimate from its rows of window, a (lanes, frames, fields) table slice.
 
-    Each equals the estimate of its history passed alone, exactly.
+    One forward pass; each equals the estimate of its lane passed alone, exactly.
     """
-    if not histories[0]:
-        raise ValueError("history is empty")
-    return predict_windows(predictor, state_fractions(histories))
+    return predict_windows(predictor, state_fractions(window))
 
 
 def training_pairs(trace, t_w, population_u, population_m):
@@ -212,10 +201,10 @@ def training_pairs(trace, t_w, population_u, population_m):
     """
     if not 0 < t_w < len(trace):
         raise ValueError(f"a trace of {len(trace)} frames has no window of t_w={t_w}")
-    fractions = state_fractions([trace])[0, :, :-1]
-    x = sliding_window_view(fractions, t_w, axis=1).swapaxes(-1, -2)
-    targets = trace[t_w:]
-    backlog = np.array([[fr.active_u for fr in targets], [fr.active_m for fr in targets]], float)
+    table = np.array([trace], np.int64)
+    x = sliding_window_view(state_fractions(table)[0, :, :-1], t_w, axis=1).swapaxes(-1, -2)
+    targets = FrameResult(*table[0, t_w:].T)
+    backlog = np.array([targets.active_u, targets.active_m], float)
     return x, backlog / np.array([[population_u], [population_m]])
 
 

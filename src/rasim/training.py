@@ -109,7 +109,7 @@ def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace):
     lstm_est = predict_windows(predictor, windows.swapaxes(0, 1))
     prior = cold_start_prior(tc)
     # the naive estimate reads the last frame only
-    naive_est = [naive_predict((fr,), tc.k_u, tc.k_m, prior) for fr in trace[cfg.t_w - 1 : -1]]
+    naive_est = [naive_predict(fr, tc.k_u, tc.k_m, prior) for fr in trace[cfg.t_w - 1 : -1]]
     lstm_pred = {"u": [e.k_hat_u for e in lstm_est], "m": [e.k_hat_m for e in lstm_est]}
     naive_pred = {"u": [e.k_hat_u for e in naive_est], "m": [e.k_hat_m for e in naive_est]}
     tail = trace[cfg.t_w :]

@@ -482,3 +482,42 @@ class TestSimulateCommand:
             recorded = point["config"]
             assert (recorded["frames"], recorded["realizations"], recorded["seed"]) == (5, 2, 9)
             assert point["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "argv,sizes",
+        [
+            (["--realizations", "2", "--workers", "8"], [2]),  # one point: two blocks of one lane
+            (["--preset", "fig4", "--realizations", "2", "--workers", "2"], [2]),
+        ],
+    )
+    def test_pool_has_no_more_workers_than_blocks(
+        self, cfg_file, tmp_path, monkeypatch, argv, sizes
+    ):
+        # the executor starts every worker on the first submit, so its size is
+        # the processes a sweep forks; this stand-in starts none
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = cfg_file({"frames": 5, "seed": 3})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 0
+        assert started == sizes

@@ -25,7 +25,7 @@ from rasim.engine import (
     run_simulation,
 )
 from rasim.metrics import mean_and_stderr
-from rasim.predictor import PredictionResult, cold_start_prior
+from rasim.predictor import FrameResult, PredictionResult, cold_start_prior
 from rasim.scenarios import (
     Scenario,
     ScenarioPoint,
@@ -395,7 +395,19 @@ class TestPredictorsInTheLoop:
     def _lanes(cfg, lanes=3):
         """Each lane's frames, lane by lane: cfg run as `lanes` lanes in lockstep."""
         rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in range(lanes)]
-        return [list(frames) for frames in zip(*run_lanes(cfg, rngs))]
+        return [[FrameResult(*row) for row in rows] for rows in run_lanes(cfg, rngs).tolist()]
+
+    @pytest.mark.parametrize("predictor", ["perfect", "naive", "lstm"])
+    def test_run_lanes_returns_one_table_of_the_lanes_rows(self, predictor, model_file):
+        spec = f"lstm:{model_file}" if predictor == "lstm" else predictor
+        cfg = make_config(frames=30, slicer="maxrect", predictor=spec, seed=8)
+        rngs = [np.random.default_rng(realization_seed(cfg.seed, i)) for i in range(3)]
+        table = run_lanes(cfg, rngs)
+        assert table.dtype == np.int64
+        assert table.shape == (3, cfg.frames, len(FrameResult._fields))
+        for i, rows in enumerate(table.tolist()):
+            alone = run_simulation(cfg, np.random.default_rng(realization_seed(cfg.seed, i)))
+            assert [FrameResult(*row) for row in rows] == alone, i
 
     def test_lstm_estimate_reads_the_lanes_last_t_w_frames(self, tmp_path):
         from rasim.lstm import init_lstm

@@ -1,11 +1,9 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
 from conftest import make_config
 
-from rasim.engine import SimulationState, run_frame
+from rasim.engine import SimulationState
 from rasim.lstm import LstmModel, _forward_batch, init_lstm, lstm_forward
 from rasim.predictor import (
     FrameResult,
@@ -26,26 +24,14 @@ def row(t, u=(1, 2, 2), m=(10, 5, 34)):
     return FrameResult(t, 0, 0, 0, 0, 0, 0, sum(u), sum(m), u[0], m[0], u[1], m[1])
 
 
+def table(*lanes):
+    """A (lanes, frames, fields) table of FrameResult rows, one sequence of rows per lane."""
+    return np.array(lanes, np.int64)
+
+
 class TestHistory:
-    def test_append_and_window_bound(self):
-        cfg = make_config(predictor="naive", t_w=10, frames=12)
-        sim, rng = SimulationState(cfg), np.random.default_rng(4)
-        run_frame(sim, cfg, rng)
-        assert len(sim.hist) == 1
-        for _ in range(1, 12):
-            run_frame(sim, cfg, rng)
-        assert len(sim.hist) == 10
-        assert sim.hist[0].frame_index == 2  # two oldest evicted
-
-    def test_perfect_lane_keeps_no_history(self):
-        cfg = make_config(predictor="perfect", frames=3)
-        sim, rng = SimulationState(cfg), np.random.default_rng(4)
-        for _ in range(3):
-            run_frame(sim, cfg, rng)
-        assert sim.hist is None
-
     def test_normalized_window(self):
-        win_u, win_m = state_fractions([[row(0, u=(1, 1, 2), m=(0, 0, 0))]])[0]
+        win_u, win_m = state_fractions(table([row(0, u=(1, 1, 2), m=(0, 0, 0))]))[0]
         assert win_u.tolist() == [[0.25, 0.25, 0.5]]
         assert win_m.tolist() == [[0.0, 0.0, 0.0]]  # zero-channel frame
 
@@ -82,19 +68,15 @@ class TestNaive:
         assert estimate_from_idle(0, 54, 777) == 777
 
     def test_naive_predict_per_class(self):
-        hist = [row(0, u=(0, 0, 5), m=(0, 54, 0))]
-        pred = naive_predict(hist, 25, 1000, PredictionResult(2, 7))
+        last = row(0, u=(0, 0, 5), m=(0, 54, 0))
+        pred = naive_predict(last, 25, 1000, PredictionResult(2, 7))
         assert pred.k_hat_u == 0
         assert pred.k_hat_m == 1000  # saturated: no idle channels
 
     def test_mode_without_channels_takes_prior(self):
         # an unobserved mode must not read as empty, or it never gets channels again
-        hist = [row(0, u=(0, 0, 0), m=(0, 0, 0))]
-        assert naive_predict(hist, 25, 1000, PredictionResult(2, 7)) == PredictionResult(2, 7)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            naive_predict([], 25, 1000, PredictionResult(0, 0))
+        last = row(0, u=(0, 0, 0), m=(0, 0, 0))
+        assert naive_predict(last, 25, 1000, PredictionResult(2, 7)) == PredictionResult(2, 7)
 
 
 class TestLstmPredictions:
@@ -108,19 +90,19 @@ class TestLstmPredictions:
     def test_clamped_above_population(self, rng):
         # raw head output 1.2 clamps to 1.0, so the estimate is the population
         pred = self._predictor(rng, b_out_u=1.2, b_out_m=1.2)
-        (res,) = predict_backlogs(pred, [[row(0)]])
+        (res,) = predict_backlogs(pred, table([row(0)]))
         assert (res.k_hat_u, res.k_hat_m) == (25, 1000)
 
     def test_rounding_and_scaling(self, rng):
         pred = self._predictor(rng, b_out_u=0.1, b_out_m=0.0301)
-        (res,) = predict_backlogs(pred, [[row(0)]])
+        (res,) = predict_backlogs(pred, table([row(0)]))
         assert res.k_hat_u == round(0.1 * 25)
         assert res.k_hat_m == round(0.0301 * 1000)
 
     def test_empty_history_rejected(self, rng):
         pred = self._predictor(rng)
         with pytest.raises(ValueError):
-            predict_backlogs(pred, [deque(maxlen=4)])
+            predict_backlogs(pred, table([row(0)])[:, :0])
 
     def test_invariant_to_channel_count_scale(self, rng):
         # doubling every raw count leaves the normalized window, and hence the
@@ -128,28 +110,24 @@ class TestLstmPredictions:
         pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
         h1 = [row(t, u=(1, 2, 3), m=(5, 6, 7)) for t in range(4)]
         h2 = [row(t, u=(2, 4, 6), m=(10, 12, 14)) for t in range(4)]
-        assert predict_backlogs(pred, [h1]) == predict_backlogs(pred, [h2])
+        assert predict_backlogs(pred, table(h1)) == predict_backlogs(pred, table(h2))
 
     def test_several_histories_in_one_pass(self, rng):
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
         model_u.b_out = model_m.b_out = 0.3
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
-        hists = [deque(maxlen=4) for _ in range(5)]
-        for t in range(6):
-            for hist in hists:
-                u, m = rng.integers(0, 9, size=3), rng.integers(0, 30, size=3)
-                hist.append(row(t, u=tuple(map(int, u)), m=tuple(map(int, m))))
-        windows = state_fractions(hists)
-        assert np.array_equal(windows, np.concatenate([state_fractions([h]) for h in hists]))
-        estimates = predict_backlogs(pred, hists)
-        assert estimates == [predict_backlogs(pred, [h])[0] for h in hists]
+        lanes = [
+            [row(t, u=tuple(rng.integers(0, 9, size=3).tolist()),
+                 m=tuple(rng.integers(0, 30, size=3).tolist())) for t in range(6)]
+            for _ in range(5)
+        ]
+        window = table(*lanes)[:, 2:]  # the last 4 frames of every lane
+        windows = state_fractions(window)
+        alone = [window[i : i + 1] for i in range(5)]
+        assert np.array_equal(windows, np.concatenate([state_fractions(w) for w in alone]))
+        estimates = predict_backlogs(pred, window)
+        assert estimates == [predict_backlogs(pred, w)[0] for w in alone]
         assert len(set(estimates)) > 1
-
-    def test_histories_of_unequal_length_rejected(self, rng):
-        pred = self._predictor(rng)
-        long, short = [row(0), row(1)], [row(0)]
-        with pytest.raises(ValueError):
-            predict_backlogs(pred, [long, short])
 
     def test_one_copy_of_the_weights(self, rng):
         pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
@@ -208,8 +186,8 @@ class TestSerialization:
         loaded = load_predictor(p1)
         assert loaded.population_u == 25 and loaded.population_m == 1000
         assert loaded.t_w == 8
-        hist = [row(0)]
-        assert predict_backlogs(loaded, [hist]) == predict_backlogs(pred, [hist])
+        window = table([row(0)])
+        assert predict_backlogs(loaded, window) == predict_backlogs(pred, window)
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
 

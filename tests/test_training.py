@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from conftest import make_config
@@ -58,8 +59,8 @@ class TestTrainBacklogPredictor:
             low_traffic_config(), samples=250, epochs=40
         )
         # 5 URLLC and 49 mMTC channels, all idle
-        hist = [FrameResult(t, 0, 0, 0, 0, 0, 0, 5, 49, 0, 0, 0, 0) for t in range(10)]
-        (res,) = predict_backlogs(predictor, [hist])
+        rows = [FrameResult(t, 0, 0, 0, 0, 0, 0, 5, 49, 0, 0, 0, 0) for t in range(10)]
+        (res,) = predict_backlogs(predictor, np.array([rows]))
         assert res.k_hat_m <= 0.02 * 500
 
     def test_invalid_sizes_rejected(self):
@@ -69,8 +70,6 @@ class TestTrainBacklogPredictor:
             train_backlog_predictor(low_traffic_config(), samples=10, epochs=0)
 
     def test_deterministic_given_config(self):
-        import numpy as np
-
         a, _ = train_backlog_predictor(low_traffic_config(), samples=60, epochs=5)
         b, _ = train_backlog_predictor(low_traffic_config(), samples=60, epochs=5)
         for (_, x), (_, y) in zip(a.model_m.param_items(), b.model_m.param_items()):
