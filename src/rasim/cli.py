@@ -8,16 +8,17 @@ packing for inspection, ``validate`` checks a config file. Exit codes:
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import os
-import sys
-
+# rasim (and so numpy) loads before argparse: the other order peaks higher in RSS
 from .config import ConfigError, config_hash, load_config
 from .predictor import save_predictor
 from .scenarios import PRESETS, Scenario, ScenarioPoint, run_scenario
 from .slicing import maxrect_slice, plan_dump_lines, render_plan_grid, validate_constraints
 from .training import train_backlog_predictor
+
+import argparse
+import dataclasses
+import os
+import sys
 
 
 class _Parser(argparse.ArgumentParser):

@@ -57,14 +57,6 @@ class FrameResult(NamedTuple):
     def active_m(self) -> int:
         return self.new_m + self.retry_m
 
-    @property
-    def failed_u(self) -> int:
-        return self.active_u - self.served_u
-
-    @property
-    def failed_m(self) -> int:
-        return self.active_m - self.served_m
-
 
 # the columns of a FrameResult's served, collided and channel counts, URLLC then mMTC
 _OUTCOME = [

@@ -99,9 +99,6 @@ class SlicingPlan:
     def l_total(self) -> int:
         return len(self.channels)
 
-    def by_mode(self, mode: str) -> list[ChannelAssignment]:
-        return [c for c in self.channels if c.use_mode == mode]
-
 
 @dataclass
 class Violation:

@@ -228,8 +228,8 @@ def test_c09_conservation_suite():
             assert 0 <= fr.served_m <= fr.active_m
             if prev is not None:
                 assert fr.frame_index == prev.frame_index + 1
-                assert fr.retry_u == prev.failed_u
-                assert fr.retry_m == prev.failed_m
+                assert fr.retry_u == prev.active_u - prev.served_u
+                assert fr.retry_m == prev.active_m - prev.served_m
             if overload:
                 # service capacity is one channel: backlog may never shrink by
                 # more than the single served packet, and grows to saturation

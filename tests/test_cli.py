@@ -521,3 +521,23 @@ class TestSimulateCommand:
         cfg = cfg_file({"frames": 5, "seed": 3})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 0
         assert started == sizes
+
+
+class TestImports:
+    def test_numpy_loads_before_argparse(self):
+        # the cli imports rasim, and so numpy, before argparse: the other order
+        # peaks higher in RSS; a fresh interpreter shows the order sys.modules records
+        import os
+        import subprocess
+        import sys
+
+        import rasim
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rasim.__file__)))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import rasim.cli; "
+            "names = list(sys.modules); print(names.index('numpy'), names.index('argparse'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        numpy_at, argparse_at = map(int, out.stdout.split())
+        assert numpy_at < argparse_at

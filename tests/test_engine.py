@@ -183,8 +183,8 @@ class TestFrames:
         for prev, cur in zip(results, results[1:]):
             # UEs that failed in the previous frame all retry now
             assert cur.frame_index == prev.frame_index + 1
-            assert cur.retry_u == prev.failed_u
-            assert cur.retry_m == prev.failed_m
+            assert cur.retry_u == prev.active_u - prev.served_u
+            assert cur.retry_m == prev.active_m - prev.served_m
             assert cur.active_u == cur.new_u + cur.retry_u
         for fr in results:
             assert 0 <= fr.served_u <= fr.active_u

@@ -79,7 +79,7 @@ class TestMaxRect:
 
     def test_urllc_channels_first_and_single_slot(self, stock_grid):
         plan = maxrect_slice(stock_grid, 3, 10)
-        urllc = plan.by_mode(URLLC)
+        urllc = [c for c in plan.channels if c.use_mode == URLLC]
         assert [c.id for c in urllc] == [0, 1, 2]
         assert all(c.s_len == 1 and c.f_len == 10 for c in urllc)
 
