@@ -32,6 +32,7 @@ from .predictor import (
     cold_start_prior,
     load_predictor,
     naive_predict,
+    observation_floor,
     predict_backlogs,
 )
 from .slicing import GridConfig, fixed_grid_slice, mmtc_room, urllc_room
@@ -292,8 +293,10 @@ def run_lanes(
     it draws run alone. An estimate depends on the rows before the frame only,
     not on its arrivals, so every lane's estimate is set before the lanes run
     the frame: naive reads the last row, and one LSTM forward pass reads the
-    last t_w rows of every lane. ``lstm`` carries the model that run_points
-    has read and checked into pool workers; without it the model is read here.
+    last t_w rows of every lane, each estimate then raised to the
+    observation_floor of the lane's last row. ``lstm`` carries the model that
+    run_points has read and checked into pool workers; without it the model
+    is read here.
     """
     if lstm is None:
         lstm = resolve_model(cfg)
@@ -309,6 +312,7 @@ def run_lanes(
                 estimates = [naive_predict(row, k_u, k_m, prior) for row in rows]
             else:
                 estimates = predict_backlogs(lstm, table[:, max(0, t - cfg.t_w) : t])
+                estimates = observation_floor(estimates, table[:, t - 1], k_u, k_m)
             for sim, estimate in zip(sims, estimates):
                 sim.estimate = estimate
         table[:, t] = [run_frame(sim, cfg, rng) for sim, rng in lanes]

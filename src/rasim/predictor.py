@@ -6,10 +6,11 @@ outcome is one FrameResult, which holds the served and collided channel
 counts and the slice, so the idle count is l - served - collided. The engine
 keeps a point's FrameResults as one (lanes, frames, fields) integer table,
 and a window of history is a slice of it, oldest frame first. Three
-predictors are provided: the trained LSTM pair (one model per use mode), a
-moment-matching baseline that inverts the idle fraction of the last frame,
-and, for the perfect-knowledge experiments, the true backlog, which the
-engine reads itself.
+predictors are provided: the trained LSTM pair (one model per use mode),
+whose estimates the engine raises to the observation_floor of the last
+frame; a moment-matching baseline that inverts the idle fraction of the
+last frame; and, for the perfect-knowledge experiments, the true backlog,
+which the engine reads itself.
 """
 
 from __future__ import annotations
@@ -129,6 +130,24 @@ def naive_predict(
         idle = channels - served - collided
         out.append(estimate_from_idle(idle, channels, pop) if channels else fallback)
     return PredictionResult(out[0], out[1])
+
+
+def observation_floor(
+    estimates: list[PredictionResult], rows: np.ndarray, population_u: int, population_m: int
+) -> list[PredictionResult]:
+    """Each lane's estimate raised to the fewest UEs its last frame's outcome allows.
+
+    rows holds each lane's last FrameResult row, shape (lanes, fields). A
+    served channel carried one UE and a collided one at least two, so per
+    class at least min(population, served + 2 * collided) UEs contended.
+    """
+    last = FrameResult(*rows.T)
+    seen_u = np.minimum(population_u, last.served_u + 2 * last.collided_u).tolist()
+    seen_m = np.minimum(population_m, last.served_m + 2 * last.collided_m).tolist()
+    return [
+        PredictionResult(max(k_u, floor_u), max(k_m, floor_m))
+        for (k_u, k_m), floor_u, floor_m in zip(estimates, seen_u, seen_m)
+    ]
 
 
 class LstmPredictor:

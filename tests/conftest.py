@@ -1,11 +1,17 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
+import rasim
 from rasim.engine import SimulationConfig
 from rasim.slicing import GridConfig
 from rasim.traffic import TrafficConfig
+
+# the directory holding the rasim under test, for PYTHONPATH in fresh interpreters
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rasim.__file__)))
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+from conftest import SRC
 
 from rasim.cli import main
 from rasim.config import ConfigError, config_hash, load_config
@@ -137,11 +142,19 @@ class TestTrainCommand:
                 "seed": 4,
             }
         )
-        m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
-        assert main(["train", "--config", cfg, "--out", str(m1), "--samples", "60", "--epochs", "4"]) == 0
-        assert main(["train", "--config", cfg, "--out", str(m2), "--samples", "60", "--epochs", "4"]) == 0
-        assert m1.read_bytes() == m2.read_bytes()
+        size = ["--samples", "60", "--epochs", "4"]
+        here = tmp_path / "here.txt"
+        assert main(["train", "--config", cfg, "--out", str(here), *size]) == 0
         assert "val mse" in capsys.readouterr().out
+        # fresh interpreters whose string hashes order a set of the class tags
+        # ("u", "m") one way under hash seed 0 and the other way under 1
+        for hash_seed in ("0", "1"):
+            fresh = tmp_path / f"fresh{hash_seed}.txt"
+            env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed}
+            argv = ["-m", "rasim.cli", "train", "--config", cfg, "--out", str(fresh), *size]
+            run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            assert fresh.read_bytes() == here.read_bytes(), hash_seed
 
     def test_zero_samples_is_config_error(self, cfg_file, tmp_path):
         code = main(
@@ -226,8 +239,6 @@ class TestModelFiles:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_model_file_read_once_per_sweep(self, tmp_path, model_file, monkeypatch, workers):
         # each call appends a line to a file, so calls in pool workers count too
-        import sys
-
         from rasim import predictor
         from rasim.scenarios import Scenario, ScenarioPoint, run_scenario
 
@@ -266,7 +277,8 @@ class TestModelFiles:
             out = tmp_path / f"out{workers}"
             assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
             assert multiprocessing.active_children() == []
-            outputs.append([(out / name).read_bytes() for name in ("run.csv", "summary.csv")])
+            names = ("run.csv", "summary.csv", "manifest.json")
+            outputs.append([(out / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_each_lane_equals_its_realization_run_alone(self, cfg_file, model_file):
@@ -524,18 +536,21 @@ class TestSimulateCommand:
 
 
 class TestImports:
+    def test_console_script_is_main(self):
+        # the rasim command that an install puts on the PATH calls cli.main
+        import importlib
+        import tomllib
+
+        with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["rasim"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is main
+
     def test_numpy_loads_before_argparse(self):
         # the cli imports rasim, and so numpy, before argparse: the other order
         # peaks higher in RSS; a fresh interpreter shows the order sys.modules records
-        import os
-        import subprocess
-        import sys
-
-        import rasim
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rasim.__file__)))
         code = (
-            f"import sys; sys.path.insert(0, {src!r}); import rasim.cli; "
+            f"import sys; sys.path.insert(0, {SRC!r}); import rasim.cli; "
             "names = list(sys.modules); print(names.index('numpy'), names.index('argparse'))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

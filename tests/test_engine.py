@@ -10,7 +10,7 @@ from conftest import enumerate_success_distribution, make_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rasim.acb import AcbPolicy
+from rasim.acb import TABLE_CAP, AcbPolicy
 from rasim.engine import (
     METRIC_COLUMNS,
     SimulationConfig,
@@ -27,6 +27,7 @@ from rasim.engine import (
 from rasim.metrics import mean_and_stderr
 from rasim.predictor import FrameResult, PredictionResult, cold_start_prior
 from rasim.scenarios import (
+    PRESETS,
     Scenario,
     ScenarioPoint,
     run_scenario,
@@ -342,6 +343,33 @@ class TestMonteCarlo:
             written = (tmp_path / "out" / f"{point.label}.csv").read_bytes()
             assert written == (tmp_path / "alone.csv").read_bytes()
 
+    @pytest.mark.parametrize("sweep", ["fig3", "fig4", "fig5", "opt-inv", "opt-lit", "static:0.4"])
+    def test_barring_draws_match_serial(self, tmp_path, sweep):
+        # the stock presets at 3 x 60, and one point per policy whose 2 mMTC
+        # channels hold thousands of contenders each, past acb.TABLE_CAP
+        base = SimulationConfig(realizations=3, frames=60)
+        if sweep in PRESETS:
+            scenario = PRESETS[sweep](base)
+        else:
+            past_cap = make_config(
+                traffic__k_m=30_000, traffic__k_u=750, acb=sweep, slicer="counts:4,2",
+                realizations=3, frames=60,
+            )
+            scenario = Scenario("past_cap", (ScenarioPoint("run", past_cap),))
+        serial, pooled = tmp_path / "w1", tmp_path / "w2"
+        run_scenario(scenario, str(serial), workers=1)
+        run_scenario(scenario, str(pooled), workers=2)
+        assert multiprocessing.active_children() == []
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pooled.iterdir())
+        assert "manifest.json" in names and len(names) == len(scenario.points) + 2
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+        if sweep not in PRESETS:  # a frame's mean over lanes puts a channel past the cap
+            rows = (serial / "run.csv").read_text().splitlines()
+            column = rows[0].split(",").index("backlog_m")
+            assert max(float(row.split(",")[column]) for row in rows[1:]) / 2 >= TABLE_CAP
+
     def test_overload_grant_free_throughput_collapses(self):
         # frozen regression: saturated population on the classic 54-channel pool
         cfg = make_config(
@@ -415,7 +443,8 @@ class TestPredictorsInTheLoop:
 
         rng = np.random.default_rng(5)
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
-        model_u.b_out = model_m.b_out = 0.2  # estimates that follow the window
+        # estimates that follow the window, and in some frames of each class fall below the floor
+        model_u.b_out, model_m.b_out = 0.2, 0.05
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
         path = tmp_path / "m.model"
         save_predictor(pred, path)
@@ -431,16 +460,24 @@ class TestPredictorsInTheLoop:
                 rows.append([n / channels if channels else 0.0 for n in (served, collided, idle)])
             return rows
 
-        estimates = set()
+        estimates, raised = set(), [0, 0]
         for frames in self._lanes(cfg):
             assert (frames[0].k_hat_u, frames[0].k_hat_m) == prior
             for t in range(1, cfg.frames):
                 rows = [fractions(fr) for fr in frames[max(0, t - cfg.t_w) : t]]
                 window = np.array(rows).swapaxes(0, 1)  # (2, frames, 3), URLLC first
-                want = predict_windows(pred, window[None])[0]
+                from_window = predict_windows(pred, window[None])[0]
+                last = frames[t - 1]  # a collided channel held two UEs or more
+                floor = (
+                    min(cfg.traffic.k_u, last.served_u + 2 * last.collided_u),
+                    min(cfg.traffic.k_m, last.served_m + 2 * last.collided_m),
+                )
+                want = tuple(map(max, from_window, floor))
                 assert (frames[t].k_hat_u, frames[t].k_hat_m) == want, t
                 estimates.add(want)
+                raised = [n + (w != e) for n, w, e in zip(raised, want, from_window)]
         assert len(estimates) > 3
+        assert all(raised)  # the floor acts on each class in some frame
 
     def test_naive_estimate_reads_the_lanes_last_frame(self):
         from rasim.predictor import estimate_from_idle
