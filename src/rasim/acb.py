@@ -21,6 +21,7 @@ They disagree for n >= 3; both are kept so the difference can be measured.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,18 @@ class AcbPolicy:
         if self.kind != STATIC and self.p != 1.0:
             raise ConfigError(f"barring policy {self.kind!r} takes no factor")
 
-    @property
+    def __reduce__(self):  # pickle the fields only, not the cached tables
+        return AcbPolicy, (self.kind, self.p)
+
+    @functools.cached_property
     def bars(self) -> bool:
         """Whether a collided UE can be barred: every policy but grant-free and static 1."""
         return not (self.kind == GRANT_FREE or (self.kind == STATIC and self.p == 1.0))
+
+    @functools.cached_property
+    def thresholds(self) -> tuple[memoryview, memoryview]:
+        """The policy's _threshold_table, looked up on its first draw."""
+        return _threshold_table(self)
 
     @property
     def label(self) -> str:
@@ -118,24 +127,30 @@ def _threshold_table(policy: AcbPolicy) -> tuple[memoryview, memoryview]:
     return table
 
 
-def collided_outcomes(
-    policy: AcbPolicy, counts: list[int], rng: np.random.Generator
-) -> tuple[int, int]:
+def collided_outcomes(policy: AcbPolicy, counts: list[int], rng) -> tuple[int, int]:
     """(alone, emptied): how many collided channels barring leaves with one UE, and with none.
 
-    ``counts`` holds each channel's contender count k, in channel order; idle
-    and singleton channels (k < 2) are never barred and are skipped. A
-    collided channel counted in neither stays collided. Grant-free and a
-    static factor of 1 bar nobody: they draw nothing and return (0, 0). Every
-    other policy draws one uniform u per collided channel, in channel order,
-    in one ``rng.random`` call. With the channel's factor f, it ends empty if
-    u < (1-f)^k, alone if u < (1-f)^k + k f (1-f)^(k-1), and collided
-    otherwise: the Binomial(k, f) survivor count, classed as 0, 1 or more.
+    ``counts`` holds each channel's contender count k, in channel order. Idle
+    and singleton channels (k < 2) are never barred, and a collided channel
+    counted in neither stays collided. Grant-free and a static factor of 1
+    bar nobody: they draw nothing and return (0, 0). Other policies draw as
+    barred_outcomes does.
     """
     if not policy.bars:
         return 0, 0
-    draws = iter(rng.random(len(counts) - counts.count(0) - counts.count(1)).tolist())
-    empty_at, alone_at = _threshold_table(policy)
+    return barred_outcomes(policy, counts, len(counts) - counts.count(0) - counts.count(1), rng)
+
+
+def barred_outcomes(policy: AcbPolicy, counts: list[int], collided: int, rng) -> tuple[int, int]:
+    """collided_outcomes of a barring policy, given how many channels have k >= 2.
+
+    It draws one uniform u per collided channel, in channel order, in one
+    ``rng.random`` call. With the channel's factor f, it ends empty if
+    u < (1-f)^k, alone if u < (1-f)^k + k f (1-f)^(k-1), and collided
+    otherwise: the Binomial(k, f) survivor count, classed as 0, 1 or more.
+    """
+    draws = iter(rng.random(collided).tolist())
+    empty_at, alone_at = policy.thresholds
     alone = emptied = 0
     for k in counts:
         if k < 2:

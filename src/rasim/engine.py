@@ -9,9 +9,14 @@ of channels) retries next frame. Under the grant-free policy the barring step
 degenerates to a no-op, so success means being alone on the channel already
 at selection time.
 
-A point's realizations run as lanes in lockstep, and their FrameResults fill
-one (lanes, frames, fields) integer table: it is the history the naive and
-LSTM estimates read, and the metrics are reduced from it.
+A point's realizations run as lanes in lockstep; their rows fill one (lanes,
+frames, FrameResult fields) integer table, the history the estimates read and
+the metrics are reduced from. PointConstants holds what a frame reads,
+resolved once per point. A lane's state is four ints, its active and failed
+UEs per class; run_frame advances it by one frame, drawing from the lane's
+generator the mMTC arrivals, the URLLC arrivals, then per class with
+channels, URLLC first, the selection tally and, under a barring policy, one
+uniform per collided channel.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it once, before pool workers fork
 
-from .acb import GRANT_FREE, AcbPolicy, collided_outcomes, parse_policy
+from .acb import GRANT_FREE, AcbPolicy, barred_outcomes, parse_policy
 from .errors import ConfigError, check_scalar_fields
 from .metrics import channel_loading, normalized_throughput
 from .predictor import (
@@ -183,75 +188,61 @@ def contend_uniform(
     served = tally.count(1)
     collided = n_channels - served - tally.count(0)
     if collided and policy.bars:  # idle and singleton channels are never barred
-        alone, emptied = collided_outcomes(policy, tally, rng)
+        alone, emptied = barred_outcomes(policy, tally, collided, rng)
         served += alone
         collided -= alone + emptied
     return served, collided
 
 
-class SimulationState:
-    """Mutable per-realization state threaded through run_frame.
+class PointConstants(NamedTuple):
+    """What every frame of a point reads, resolved once, before its first frame."""
 
-    It holds no history and no model: from frame 1 on, run_lanes sets a naive
-    or LSTM lane's estimate before each frame.
+    traffic: TrafficConfig
+    profile: tuple[float, ...]    # urllc_activation_profile(traffic)
+    policy: AcbPolicy
+    pool: tuple[int, int] | None  # (l_u, l_m) of a fixed or counts slicer; None under maxrect
+    grid: GridConfig
+    room_u: int                   # urllc_room(grid) under maxrect
+
+    @classmethod
+    def of(cls, cfg: SimulationConfig) -> PointConstants:
+        """The constants of cfg's frames."""
+        (kind, counts), grid = cfg.slicer, cfg.grid
+        pool = counts if kind == COUNTS else None
+        if kind == FIXED:
+            plan = fixed_grid_slice(grid, *counts)
+            pool = (plan.l_u, plan.l_m)
+        room_u = urllc_room(grid) if kind == MAXRECT else 0
+        return cls(cfg.traffic, urllc_activation_profile(cfg.traffic), cfg.acb, pool, grid, room_u)
+
+    def plan(self, k_hat_u: int, k_hat_m: int) -> tuple[int, int]:
+        """Channel counts (l_u, l_m) of maxrect_slice(grid, k_hat_u, k_hat_m), from the rooms."""
+        l_u = min(k_hat_u, self.room_u)
+        return l_u, min(k_hat_m, mmtc_room(self.grid, l_u))
+
+
+def run_frame(
+    lane: list[int], t: int, estimate: tuple[int, int] | None, point: PointConstants, rng
+) -> tuple[int, ...]:
+    """Advance one lane by frame t; its FrameResult fields, as a plain tuple.
+
+    ``lane``, updated in place, is [active_u, active_m, failed_u, failed_m] of the
+    last frame. ``estimate`` is a naive or LSTM lane's (k_hat_u, k_hat_m), None for perfect.
     """
-
-    def __init__(self, cfg: SimulationConfig):
-        self.cfg = cfg
-        self.active_u = self.active_m = 0  # the current frame's backlog
-        self.failed_u = self.failed_m = 0  # the previous frame's failures, retrying now
-        self.frame = 0
-        self.profile = urllc_activation_profile(cfg.traffic)
-        self._perfect = cfg.predictor.kind == PERFECT
-        self.estimate = cold_start_prior(cfg.traffic)  # until run_lanes sets one
-        self._counts = None  # (l_u, l_m) of a fixed pool; maxrect follows the prediction
-        if cfg.slicer.kind == FIXED:
-            plan = fixed_grid_slice(cfg.grid, *cfg.slicer.counts)
-            self._counts = (plan.l_u, plan.l_m)
-        elif cfg.slicer.kind == COUNTS:
-            self._counts = cfg.slicer.counts
-
-    def predict(self) -> tuple[int, int]:
-        """(k_hat_u, k_hat_m), this frame's backlog estimate."""
-        if self._perfect:
-            return self.active_u, self.active_m  # the true backlog
-        return self.estimate
-
-    def plan_for(self, pred: tuple[int, int]) -> tuple[int, int]:
-        """Channel counts (l_u, l_m) of this frame's slice, given (k_hat_u, k_hat_m)."""
-        if self._counts is not None:
-            return self._counts
-        grid = self.cfg.grid
-        k_hat_u, k_hat_m = pred
-        l_u = min(k_hat_u, urllc_room(grid))
-        return l_u, min(k_hat_m, mmtc_room(grid, l_u))
-
-
-def run_frame(sim: SimulationState, cfg: SimulationConfig, rng: np.random.Generator) -> FrameResult:
-    """Advance one frame: arrivals, prediction, slicing, contention, bookkeeping."""
-    t = sim.frame
-    arrivals_m = sample_mmtc_arrivals(cfg.traffic, t, rng)
-    arrivals_u = sample_urllc_arrivals(cfg.traffic, t, rng, sim.profile)
-    retry_u, retry_m = sim.failed_u, sim.failed_m
-    new_m, new_u = update_backlog(
-        sim.active_m, sim.active_u, arrivals_m, arrivals_u, retry_m, retry_u, cfg.traffic
-    )
-    active_u = sim.active_u = new_u + retry_u
-    active_m = sim.active_m = new_m + retry_m
-
-    pred = sim.predict()
-    l_u, l_m = sim.plan_for(pred)
-
-    served_u, collided_u = contend_uniform(active_u, l_u, cfg.acb, rng)
-    served_m, collided_m = contend_uniform(active_m, l_m, cfg.acb, rng)
-    result = FrameResult(
-        t, new_u, new_m, retry_u, retry_m, *pred,
-        l_u, l_m, served_u, served_m, collided_u, collided_m,
-    )
-    sim.failed_u = active_u - served_u
-    sim.failed_m = active_m - served_m
-    sim.frame += 1
-    return result
+    active_u, active_m, retry_u, retry_m = lane
+    traffic = point.traffic
+    arrivals_m = sample_mmtc_arrivals(traffic, t, rng)
+    arrivals_u = sample_urllc_arrivals(traffic, t, rng, point.profile)
+    new_m, new_u = update_backlog(active_m, active_u, arrivals_m, arrivals_u,
+                                  retry_m, retry_u, traffic)
+    active_u, active_m = new_u + retry_u, new_m + retry_m
+    k_hat_u, k_hat_m = estimate or (active_u, active_m)
+    l_u, l_m = point.pool or point.plan(k_hat_u, k_hat_m)
+    served_u, collided_u = contend_uniform(active_u, l_u, point.policy, rng)
+    served_m, collided_m = contend_uniform(active_m, l_m, point.policy, rng)
+    lane[:] = active_u, active_m, active_u - served_u, active_m - served_m
+    return (t, new_u, new_m, retry_u, retry_m, k_hat_u, k_hat_m,
+            l_u, l_m, served_u, served_m, collided_u, collided_m)
 
 
 def resolve_model(cfg: SimulationConfig, loaded: dict | None = None) -> LstmPredictor | None:
@@ -287,35 +278,30 @@ def run_lanes(
 ) -> np.ndarray:
     """Realizations in lockstep, one lane per generator: their (lanes, frames, fields) table.
 
-    Row [i, t] is lane i's FrameResult of frame t, and the table is the only
-    history a predictor reads. Each lane has its own state and generator, and
-    run_frame advances every lane once per frame, so a lane draws exactly what
-    it draws run alone. An estimate depends on the rows before the frame only,
-    not on its arrivals, so every lane's estimate is set before the lanes run
-    the frame: naive reads the last row, and one LSTM forward pass reads the
-    last t_w rows of every lane, each estimate then raised to the
-    observation_floor of the lane's last row. ``lstm`` carries the model that
-    run_points has read and checked into pool workers; without it the model
-    is read here.
+    Row [i, t] is run_frame's row of lane i and frame t, and the table is the
+    only history a predictor reads. A lane draws from its own generator only,
+    so it draws exactly what it draws run alone. An estimate reads only rows
+    before its frame, so each is set before the lanes run the frame: naive
+    reads each lane's last row, and one LSTM forward pass the last t_w rows
+    of every lane, each then raised to the observation_floor of the lane's
+    last row. ``lstm`` is the checked model from run_points, or read here.
     """
     if lstm is None:
         lstm = resolve_model(cfg)
-    sims = [SimulationState(cfg) for _ in rngs]
-    lanes = list(zip(sims, rngs))
+    point, perfect = PointConstants.of(cfg), cfg.predictor.kind == PERFECT
+    lanes = [[0, 0, 0, 0] for _ in rngs]
     table = np.empty((len(rngs), cfg.frames, len(FrameResult._fields)), np.int64)
-    naive = cfg.predictor.kind == NAIVE
     k_u, k_m, prior = cfg.traffic.k_u, cfg.traffic.k_m, cold_start_prior(cfg.traffic)
+    estimates = [None if perfect else prior] * len(rngs)  # frame 0 takes the prior
     for t in range(cfg.frames):
-        if t and (naive or lstm is not None):  # frame 0 keeps the cold-start prior
-            if naive:
-                rows = table[:, t - 1].tolist()
+        if t and not perfect:
+            if lstm is None:
                 estimates = [naive_predict(row, k_u, k_m, prior) for row in rows]
             else:
                 estimates = predict_backlogs(lstm, table[:, max(0, t - cfg.t_w) : t])
-                estimates = observation_floor(estimates, table[:, t - 1], k_u, k_m)
-            for sim, estimate in zip(sims, estimates):
-                sim.estimate = estimate
-        table[:, t] = [run_frame(sim, cfg, rng) for sim, rng in lanes]
+                estimates = observation_floor(estimates, rows, k_u, k_m)
+        rows = [run_frame(lane, t, e, point, rng) for lane, e, rng in zip(lanes, estimates, rngs)]
+        table[:, t] = rows
     return table
 
 

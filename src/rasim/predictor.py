@@ -133,20 +133,18 @@ def naive_predict(
 
 
 def observation_floor(
-    estimates: list[PredictionResult], rows: np.ndarray, population_u: int, population_m: int
+    estimates: list[PredictionResult], rows, population_u: int, population_m: int
 ) -> list[PredictionResult]:
     """Each lane's estimate raised to the fewest UEs its last frame's outcome allows.
 
-    rows holds each lane's last FrameResult row, shape (lanes, fields). A
-    served channel carried one UE and a collided one at least two, so per
-    class at least min(population, served + 2 * collided) UEs contended.
+    rows holds each lane's last FrameResult row. A served channel carried one
+    UE and a collided one at least two, so per class at least
+    min(population, served + 2 * collided) UEs contended.
     """
-    last = FrameResult(*rows.T)
-    seen_u = np.minimum(population_u, last.served_u + 2 * last.collided_u).tolist()
-    seen_m = np.minimum(population_m, last.served_m + 2 * last.collided_m).tolist()
     return [
-        PredictionResult(max(k_u, floor_u), max(k_m, floor_m))
-        for (k_u, k_m), floor_u, floor_m in zip(estimates, seen_u, seen_m)
+        PredictionResult(max(k_u, min(population_u, last.served_u + 2 * last.collided_u)),
+                         max(k_m, min(population_m, last.served_m + 2 * last.collided_m)))
+        for (k_u, k_m), last in zip(estimates, map(FrameResult._make, rows))
     ]
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from rasim.acb import TABLE_CAP, AcbPolicy
 from rasim.engine import (
     METRIC_COLUMNS,
+    PointConstants,
     SimulationConfig,
-    SimulationState,
     contend_uniform,
     lane_blocks,
     realization_metrics,
@@ -25,7 +25,7 @@ from rasim.engine import (
     run_simulation,
 )
 from rasim.metrics import mean_and_stderr
-from rasim.predictor import FrameResult, PredictionResult, cold_start_prior
+from rasim.predictor import FrameResult, cold_start_prior
 from rasim.scenarios import (
     PRESETS,
     Scenario,
@@ -35,6 +35,7 @@ from rasim.scenarios import (
     write_point_csv,
 )
 from rasim.slicing import GridConfig, maxrect_slice
+from rasim.traffic import urllc_activation_profile
 
 
 class TestContention:
@@ -247,9 +248,9 @@ class TestCountSlicer:
     def test_counts_match_packer(self, f, s, nu, p_u, p_m, xi, k_u, k_m):
         # demands up to 150 exceed the capacity of every grid drawn here
         grid = GridConfig(f=f, s=s, nu=nu, p_u=p_u, p_m=p_m, xi=xi)
-        sim = SimulationState(SimulationConfig(grid=grid, slicer="maxrect"))
+        point = PointConstants.of(SimulationConfig(grid=grid, slicer="maxrect"))
         plan = maxrect_slice(grid, k_u, k_m)
-        assert sim.plan_for(PredictionResult(k_u, k_m)) == (plan.l_u, plan.l_m)
+        assert point.plan(k_u, k_m) == (plan.l_u, plan.l_m)
 
 
 class TestDeterminism:
@@ -501,3 +502,85 @@ class TestPredictorsInTheLoop:
     def test_unknown_predictor_rejected(self):
         with pytest.raises(ValueError):
             make_config(predictor="psychic")
+
+
+class RecordingGenerator:
+    """A Generator that passes every call on and logs it: (method, arguments, result)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args):
+            out = method(*args)
+            self.calls.append((name, args, out))
+            return out
+
+        return record
+
+
+class TestLaneStep:
+    """The calls a lane makes per frame, which hold under any numpy release."""
+
+    @staticmethod
+    def _expected_calls(cfg, rows, tallies):
+        """A lane's calls of each frame, from its rows and the tallies multinomial returned."""
+        tc = cfg.traffic
+        profile = urllc_activation_profile(tc)
+        for t, row in enumerate(rows):
+            fr = FrameResult(*row)
+            yield ("binomial", (tc.k_m - tc.k_m_periodic, tc.p_act))
+            yield ("binomial", (tc.k_u, profile[t % tc.t_u]))
+            for active, channels in ((fr.active_u, fr.l_u), (fr.active_m, fr.l_m)):
+                if channels:
+                    yield ("multinomial", active, channels)
+                    collided = sum(k >= 2 for k in next(tallies))
+                    if cfg.acb.bars and collided:
+                        yield ("random", (collided,))
+
+    @pytest.mark.parametrize("acb", ["gf", "static:0.4", "opt-inv", "opt-lit"])
+    @pytest.mark.parametrize("predictor", ["perfect", "naive"])
+    @pytest.mark.parametrize("slicer", ["counts:5,49", "maxrect"])
+    def test_draw_order(self, acb, predictor, slicer):
+        # mMTC arrivals, URLLC arrivals; then per class with channels, URLLC
+        # first: the selection, and the barring draw of its collided channels
+        cfg = make_config(
+            traffic__k_m=3000, traffic__k_u=75, frames=40, seed=12,
+            acb=acb, predictor=predictor, slicer=slicer,
+        )
+        lanes = [RecordingGenerator(np.random.default_rng(realization_seed(12, i))) for i in (0, 1)]
+        table = run_lanes(cfg, lanes)
+        barring_draws = 0
+        for lane, rows in zip(lanes, table.tolist()):
+            seen = []
+            for name, args, out in lane.calls:
+                if name == "multinomial":
+                    n, pvals = args
+                    assert pvals.tolist() == [1 / len(pvals)] * len(pvals)
+                    seen.append((name, n, len(pvals)))
+                else:
+                    seen.append((name, args))
+            tallies = (out.tolist() for name, _, out in lane.calls if name == "multinomial")
+            assert seen == list(self._expected_calls(cfg, rows, tallies))
+            barring_draws += sum(name == "random" for name, _, _ in lane.calls)
+        assert barring_draws if cfg.acb.bars else not barring_draws
+
+    @pytest.mark.parametrize("predictor", ["perfect", "naive", "lstm"])
+    def test_run_frame_once_per_realization_frame(self, predictor, model_file, monkeypatch):
+        # as perfbench's tracer counts it: the module global rebound to a wrapper
+        import rasim.engine
+
+        calls = []
+        step = rasim.engine.run_frame
+
+        def counted(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(rasim.engine, "run_frame", counted)
+        spec = f"lstm:{model_file}" if predictor == "lstm" else predictor
+        cfg = make_config(frames=20, realizations=3, slicer="maxrect", predictor=spec, seed=4)
+        run_monte_carlo(cfg)
+        assert sorted(calls) == sorted(list(range(cfg.frames)) * cfg.realizations)

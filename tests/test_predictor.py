@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_config
 
-from rasim.engine import SimulationState
+from rasim.engine import PointConstants, run_frame
 from rasim.lstm import LstmModel, _forward_batch, init_lstm, lstm_forward
 from rasim.predictor import (
     FrameResult,
@@ -39,9 +39,17 @@ class TestHistory:
 class TestPerfect:
     @staticmethod
     def _predict(active_u, active_m):
-        sim = SimulationState(make_config(predictor="perfect"))
-        sim.active_u, sim.active_m = active_u, active_m
-        return sim.predict()
+        """The estimate run_frame makes for a lane whose active UEs all failed and retry.
+
+        Frame 0 of this config has no arrivals: the profile is 0 at phase 0
+        and no mMTC UE activates, so the backlog is the retrying UEs.
+        """
+        cfg = make_config(predictor="perfect", traffic__p_act=0.0, traffic__k_m_periodic=0)
+        lane = [active_u, active_m, active_u, active_m]
+        row = run_frame(lane, 0, None, PointConstants.of(cfg), np.random.default_rng(1))
+        fr = FrameResult(*row)
+        assert (fr.active_u, fr.active_m) == (active_u, active_m)
+        return fr.k_hat_u, fr.k_hat_m
 
     def test_identity(self):
         pred = self._predict(2 + 3, 100 + 20)
