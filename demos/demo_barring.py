@@ -8,7 +8,7 @@ chance that exactly one survives (the collision is resolved). The literal
 
 import numpy as np
 
-from rasim.acb import AcbPolicy, collided_factors, collided_outcomes
+from rasim.acb import AcbPolicy, barred_outcomes, barring_factor
 
 rng = np.random.default_rng(3)
 trials = 50_000
@@ -16,12 +16,12 @@ trials = 50_000
 print(f"{'n':>3} {'p=1/n':>8} {'sim':>7} {'p=1-1/n':>9} {'sim':>7}")
 for n in range(2, 11):
     loaded = [n] * trials
-    (inv,) = collided_factors(AcbPolicy("opt-inv"), [n])
-    (lit,) = collided_factors(AcbPolicy("opt-lit"), [n])
+    inv = barring_factor(AcbPolicy("opt-inv"), n)
+    lit = barring_factor(AcbPolicy("opt-lit"), n)
     analytic_inv = n * inv * (1 - inv) ** (n - 1)
     analytic_lit = n * lit * (1 - lit) ** (n - 1)
-    sim_inv = collided_outcomes(AcbPolicy("opt-inv"), loaded, rng)[0] / trials
-    sim_lit = collided_outcomes(AcbPolicy("opt-lit"), loaded, rng)[0] / trials
+    sim_inv = barred_outcomes(AcbPolicy("opt-inv"), loaded, trials, rng)[0] / trials
+    sim_lit = barred_outcomes(AcbPolicy("opt-lit"), loaded, trials, rng)[0] / trials
     print(f"{n:>3} {analytic_inv:8.4f} {sim_inv:7.4f} {analytic_lit:9.4f} {sim_lit:7.4f}")
 
 print("\nP(resolve) under 1/n tends to 1/e ~ 0.368; under 1 - 1/n it vanishes.")

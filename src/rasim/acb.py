@@ -79,15 +79,15 @@ def parse_policy(text: str) -> AcbPolicy:
     return AcbPolicy(STATIC, p)
 
 
-def collided_factors(policy: AcbPolicy, loaded: list[int]) -> list[float]:
-    """Pass probability of each channel holding the given count (>= 2) of contenders."""
+def barring_factor(policy: AcbPolicy, k: int) -> float:
+    """Pass probability of a channel holding k >= 2 contenders."""
     if policy.kind == GRANT_FREE:
-        return [1.0] * len(loaded)
+        return 1.0
     if policy.kind == STATIC:
-        return [policy.p] * len(loaded)
+        return policy.p
     if policy.kind == OPT_INVERSE:
-        return [1.0 / k for k in loaded]
-    return [1.0 - 1.0 / k for k in loaded]  # opt-lit
+        return 1.0 / k
+    return 1.0 - 1.0 / k  # opt-lit
 
 
 def _thresholds(policy: AcbPolicy, k: int) -> tuple[float, float]:
@@ -96,7 +96,7 @@ def _thresholds(policy: AcbPolicy, k: int) -> tuple[float, float]:
     With the channel's factor f these are (1-f)^k and (1-f)^k + k f (1-f)^(k-1),
     in Python floats.
     """
-    (f,) = collided_factors(policy, [k])
+    f = barring_factor(policy, k)
     q = 1.0 - f
     rest_barred = q ** (k - 1)  # (1-f)^k is this times q
     empty = rest_barred * q
@@ -127,27 +127,16 @@ def _threshold_table(policy: AcbPolicy) -> tuple[memoryview, memoryview]:
     return table
 
 
-def collided_outcomes(policy: AcbPolicy, counts: list[int], rng) -> tuple[int, int]:
+def barred_outcomes(policy: AcbPolicy, counts: list[int], collided: int, rng) -> tuple[int, int]:
     """(alone, emptied): how many collided channels barring leaves with one UE, and with none.
 
-    ``counts`` holds each channel's contender count k, in channel order. Idle
-    and singleton channels (k < 2) are never barred, and a collided channel
-    counted in neither stays collided. Grant-free and a static factor of 1
-    bar nobody: they draw nothing and return (0, 0). Other policies draw as
-    barred_outcomes does.
-    """
-    if not policy.bars:
-        return 0, 0
-    return barred_outcomes(policy, counts, len(counts) - counts.count(0) - counts.count(1), rng)
-
-
-def barred_outcomes(policy: AcbPolicy, counts: list[int], collided: int, rng) -> tuple[int, int]:
-    """collided_outcomes of a barring policy, given how many channels have k >= 2.
-
-    It draws one uniform u per collided channel, in channel order, in one
-    ``rng.random`` call. With the channel's factor f, it ends empty if
-    u < (1-f)^k, alone if u < (1-f)^k + k f (1-f)^(k-1), and collided
-    otherwise: the Binomial(k, f) survivor count, classed as 0, 1 or more.
+    ``counts`` is the selection tally, each channel's contender count k in
+    channel order, and ``collided`` how many channels have k >= 2; only those
+    are barred, and one counted in neither stays collided. Grant-free and a
+    static factor of 1 bar nobody, so the caller draws only if ``policy.bars``.
+    This draws one uniform u per collided channel, in channel order, in one
+    ``rng.random`` call, and classes the channel by the _thresholds of its k:
+    empty if u < empty, alone if u < alone.
     """
     draws = iter(rng.random(collided).tolist())
     empty_at, alone_at = policy.thresholds

@@ -241,7 +241,7 @@ def run_frame(
     served_u, collided_u = contend_uniform(active_u, l_u, point.policy, rng)
     served_m, collided_m = contend_uniform(active_m, l_m, point.policy, rng)
     lane[:] = active_u, active_m, active_u - served_u, active_m - served_m
-    return (t, new_u, new_m, retry_u, retry_m, k_hat_u, k_hat_m,
+    return (new_u, new_m, retry_u, retry_m, k_hat_u, k_hat_m,
             l_u, l_m, served_u, served_m, collided_u, collided_m)
 
 
@@ -305,11 +305,11 @@ def run_lanes(
     return table
 
 
-def run_simulation(cfg: SimulationConfig, rng: np.random.Generator | None = None) -> list[FrameResult]:
-    """One realization: cfg.frames frames with persistent backlog."""
+def run_simulation(cfg: SimulationConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+    """One realization of cfg.frames frames with persistent backlog: its (frames, fields) table."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return [FrameResult(*row) for row in run_lanes(cfg, [rng])[0].tolist()]
+    return run_lanes(cfg, [rng])[0]
 
 
 def realization_seed(master_seed: int, index: int) -> np.random.SeedSequence:

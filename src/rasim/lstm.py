@@ -53,14 +53,13 @@ class LstmModel:
 
 def init_lstm(
     hidden_size: int,
+    rng: np.random.Generator,
     input_size: int = 3,
-    rng: np.random.Generator | None = None,
     scale: float = 0.2,
 ) -> LstmModel:
-    """Small uniform init; forget-gate bias starts at 1 to favour remembering."""
+    """Small uniform init drawn from rng; forget-gate bias starts at 1 to favour remembering."""
     if hidden_size < 1 or input_size < 1:
         raise ValueError("hidden_size and input_size must be >= 1")
-    rng = rng or np.random.default_rng()
     h = hidden_size
     model = LstmModel(
         w_x=rng.uniform(-scale, scale, size=(4 * h, input_size)),
@@ -215,8 +214,8 @@ def _clip_global_norm(grads: dict):
 def lstm_train(
     dataset,
     epochs: int,
+    rng,
     learning_rate: float = 1e-2,
-    rng=None,
     hidden_size: int = 20,
     batch_size: int = 32,
     model=None,
@@ -246,17 +245,16 @@ def lstm_train(
         raise ValueError("training dataset is empty")
     if y.min() < -1e-9 or y.max() > 1.0 + 1e-9:
         raise ValueError("targets must be normalized to [0, 1]")
-    rngs = list(rng) if rng is not None else [np.random.default_rng() for _ in range(k)]
     if model is None:
-        model = [init_lstm(hidden_size, x.shape[-1], r) for r in rngs]
-    if len(rngs) != k or len(model) != k:
+        model = [init_lstm(hidden_size, r, x.shape[-1]) for r in rng]
+    if len(rng) != k or len(model) != k:
         raise ValueError(f"{k} datasets need {k} generators and {k} models")
     stack = stack_models(model)
 
     classes = np.arange(k)[:, None]
     losses = []
     for epoch in range(epochs):
-        perms = np.stack([r.permutation(n) for r in rngs])
+        perms = np.stack([r.permutation(n) for r in rng])
         epoch_loss = np.zeros(k)
         for start in range(0, n, batch_size):
             idx = perms[:, start : start + batch_size]

@@ -2,13 +2,13 @@
 
 The base station never sees the backlog directly, only how many channels of
 each mode ended a frame in success, collision or idle state. Each frame's
-outcome is one FrameResult, which holds the served and collided channel
-counts and the slice, so the idle count is l - served - collided. The engine
-keeps a point's FrameResults as one (lanes, frames, fields) integer table,
-and a window of history is a slice of it, oldest frame first. Three
-predictors are provided: the trained LSTM pair (one model per use mode),
-whose estimates the engine raises to the observation_floor of the last
-frame; a moment-matching baseline that inverts the idle fraction of the
+outcome is one integer row with the fields of FrameResult: the served and
+collided channel counts and the slice among them, so the idle count is
+l - served - collided. A point's rows are one (lanes, frames, fields) table,
+a trace is one lane's, and a window of history is a slice of it, oldest frame
+first. Three predictors are provided: the trained LSTM pair (one model per
+use mode), whose estimates the engine raises to the observation_floor of the
+last frame; a moment-matching baseline that inverts the idle fraction of the
 last frame; and, for the perfect-knowledge experiments, the true backlog,
 which the engine reads itself.
 """
@@ -16,6 +16,7 @@ which the engine reads itself.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,6 @@ class FrameResult(NamedTuple):
     the other channels of the slice ended idle.
     """
 
-    frame_index: int
     new_u: int
     new_m: int
     retry_u: int
@@ -65,19 +65,20 @@ _OUTCOME = [
     for mode in "um"
     for name in ("served", "collided", "l")
 ]
+_outcome_counts = itemgetter(*_OUTCOME)  # those six counts of one row, as a tuple
 
 
 def state_fractions(table: np.ndarray) -> np.ndarray:
-    """(lanes, 2, frames, 3) success/collision/idle fractions per class, URLLC first.
+    """(..., 2, frames, 3) success/collision/idle fractions per class, URLLC first.
 
-    table holds FrameResult rows, shape (lanes, frames, fields). Each frame's
+    table holds FrameResult rows, shape (..., frames, fields). Each frame's
     (served, collided, idle) triplet is divided by that frame's channel count
     of the class; a frame without channels of the class gives a zero row.
     """
     counts = table[..., _OUTCOME].reshape(*table.shape[:-1], 2, 3)
     channels = np.maximum(counts[..., 2:], 1)  # a class without channels has no counts
     counts[..., 2] -= counts[..., 0] + counts[..., 1]  # the idle channels
-    return (counts / channels).swapaxes(1, 2)
+    return (counts / channels).swapaxes(-3, -2)
 
 
 class PredictionResult(NamedTuple):
@@ -122,7 +123,7 @@ def naive_predict(
     A mode without channels in that frame takes ``prior``: 0 would keep it
     without channels, and so unobserved, for good.
     """
-    counts = [row[i] for i in _OUTCOME]
+    counts = _outcome_counts(row)
     out = []
     for (served, collided, channels), pop, fallback in zip(
         (counts[:3], counts[3:]), (population_u, population_m), prior
@@ -142,9 +143,10 @@ def observation_floor(
     min(population, served + 2 * collided) UEs contended.
     """
     return [
-        PredictionResult(max(k_u, min(population_u, last.served_u + 2 * last.collided_u)),
-                         max(k_m, min(population_m, last.served_m + 2 * last.collided_m)))
-        for (k_u, k_m), last in zip(estimates, map(FrameResult._make, rows))
+        PredictionResult(max(k_u, min(population_u, served_u + 2 * collided_u)),
+                         max(k_m, min(population_m, served_m + 2 * collided_m)))
+        for (k_u, k_m), (served_u, collided_u, _, served_m, collided_m, _)
+        in zip(estimates, map(_outcome_counts, rows))
     ]
 
 
@@ -199,8 +201,8 @@ def predict_backlogs(predictor: LstmPredictor, window: np.ndarray) -> list[Predi
     return predict_windows(predictor, state_fractions(window))
 
 
-def training_pairs(trace, t_w, population_u, population_m):
-    """Turn one simulated trace of more than t_w FrameResults into windows and targets.
+def training_pairs(trace: np.ndarray, t_w, population_u, population_m):
+    """Windows and targets of one trace, a (frames, fields) table of more than t_w rows.
 
     Returns x of shape (2, n, t_w, 3) and y of shape (2, n), URLLC first,
     with n = frames - t_w: window j holds the state fractions of frames
@@ -210,9 +212,8 @@ def training_pairs(trace, t_w, population_u, population_m):
     """
     if not 0 < t_w < len(trace):
         raise ValueError(f"a trace of {len(trace)} frames has no window of t_w={t_w}")
-    table = np.array([trace], np.int64)
-    x = sliding_window_view(state_fractions(table)[0, :, :-1], t_w, axis=1).swapaxes(-1, -2)
-    targets = FrameResult(*table[0, t_w:].T)
+    x = sliding_window_view(state_fractions(trace)[:, :-1], t_w, axis=1).swapaxes(-1, -2)
+    targets = FrameResult(*trace[t_w:].T)
     backlog = np.array([targets.active_u, targets.active_m], float)
     return x, backlog / np.array([[population_u], [population_m]])
 

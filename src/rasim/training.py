@@ -3,9 +3,9 @@
 Traces are produced by the grant-free engine (no barring round) so the
 channel states reflect raw contention, then cut into (window, next backlog)
 pairs per use mode. Each target backlog is a frame's active count, read from
-the trace's FrameResult. Validation always happens on a trace the models
-never saw, and the moment-matching baseline is scored on the same held-out
-frames for a like-for-like comparison.
+the trace's table of FrameResult rows. Validation always happens on a trace
+the models never saw, and the moment-matching baseline is scored on the same
+held-out frames for a like-for-like comparison.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import ConfigError
 from .lstm import lstm_train
 from .metrics import predictor_mse
 from .predictor import (
+    FrameResult,
     LstmPredictor,
     cold_start_prior,
     naive_predict,
@@ -28,8 +29,8 @@ from .predictor import (
 )
 
 
-def generate_trace(cfg: SimulationConfig, frames: int, seed: int):
-    """Grant-free trace, one FrameResult per frame; its active counts are the true backlogs."""
+def generate_trace(cfg: SimulationConfig, frames: int, seed: int) -> np.ndarray:
+    """Grant-free trace, a (frames, fields) table; its active counts are the true backlogs."""
     trace_cfg = dataclasses.replace(
         cfg,
         acb="gf",
@@ -87,31 +88,28 @@ def train_backlog_predictor(
     report = TrainingReport(
         train_mse_u=hist_u[-1],
         train_mse_m=hist_m[-1],
-        val_mse_u=predictor_mse(lstm_pred["u"], truth["u"], tc.k_u),
-        val_mse_m=predictor_mse(lstm_pred["m"], truth["m"], tc.k_m),
-        naive_mse_u=predictor_mse(naive_pred["u"], truth["u"], tc.k_u),
-        naive_mse_m=predictor_mse(naive_pred["m"], truth["m"], tc.k_m),
+        val_mse_u=predictor_mse(lstm_pred[0], truth.active_u, tc.k_u),
+        val_mse_m=predictor_mse(lstm_pred[1], truth.active_m, tc.k_m),
+        naive_mse_u=predictor_mse(naive_pred[0], truth.active_u, tc.k_u),
+        naive_mse_m=predictor_mse(naive_pred[1], truth.active_m, tc.k_m),
         epochs=epochs,
         samples=x.shape[1],
     )
     return predictor, report
 
 
-def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace):
-    """Per-frame predictions of both estimators over one held-out trace, and the truth.
+def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace: np.ndarray):
+    """Both estimators' (2, frames) estimates over one held-out trace, URLLC first, and the truth.
 
     Every frame after the first t_w is predicted from the t_w frames before
     it; the LSTM scores all those windows as lanes of one forward pass. The
-    truth is each predicted frame's active counts.
+    truth is the predicted frames' rows, read by column.
     """
     tc = cfg.traffic
     windows, _ = training_pairs(trace, cfg.t_w, tc.k_u, tc.k_m)
     lstm_est = predict_windows(predictor, windows.swapaxes(0, 1))
     prior = cold_start_prior(tc)
     # the naive estimate reads the last frame only
-    naive_est = [naive_predict(fr, tc.k_u, tc.k_m, prior) for fr in trace[cfg.t_w - 1 : -1]]
-    lstm_pred = {"u": [e.k_hat_u for e in lstm_est], "m": [e.k_hat_m for e in lstm_est]}
-    naive_pred = {"u": [e.k_hat_u for e in naive_est], "m": [e.k_hat_m for e in naive_est]}
-    tail = trace[cfg.t_w :]
-    truth = {"u": [fr.active_u for fr in tail], "m": [fr.active_m for fr in tail]}
-    return lstm_pred, naive_pred, truth
+    rows = trace[cfg.t_w - 1 : -1].tolist()
+    naive_est = [naive_predict(row, tc.k_u, tc.k_m, prior) for row in rows]
+    return np.array(lstm_est).T, np.array(naive_est).T, FrameResult(*trace[cfg.t_w :].T)

@@ -7,6 +7,7 @@ import pytest
 
 import rasim
 from rasim.engine import SimulationConfig
+from rasim.predictor import FrameResult
 from rasim.slicing import GridConfig
 from rasim.traffic import TrafficConfig
 
@@ -166,6 +167,11 @@ def enumerate_success_distribution(n_ues: int, n_channels: int):
         s = sum(1 for c in counts if c == 1)
         dist[s] = dist.get(s, 0) + 1
     return {k: v / total for k, v in dist.items()}
+
+
+def frame_rows(table) -> list[FrameResult]:
+    """The rows of a (frames, fields) table, such as run_simulation's, as FrameResults."""
+    return [FrameResult(*row) for row in table.tolist()]
 
 
 def make_config(**kw) -> SimulationConfig:

@@ -10,8 +10,8 @@ from rasim.acb import (
     TABLE_CAP,
     AcbPolicy,
     _threshold_table,
-    collided_factors,
-    collided_outcomes,
+    barred_outcomes,
+    barring_factor,
     parse_policy,
 )
 from rasim.engine import contend_uniform
@@ -19,8 +19,17 @@ from rasim.engine import contend_uniform
 BARRING = [AcbPolicy("static", 0.4), AcbPolicy("opt-inv"), AcbPolicy("opt-lit")]
 
 
-def factor(policy, n):
-    return collided_factors(policy, [n])[0]
+def assert_draws_only_the_tally(policy, n_ues, n_channels, seed=3):
+    """contend_uniform under policy draws its selection tally and nothing more; returns the tally.
+
+    A twin generator that made only the multinomial must end in the same state.
+    """
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    served, collided = contend_uniform(n_ues, n_channels, policy, rng)
+    tally = twin.multinomial(n_ues, np.full(n_channels, 1 / n_channels))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert (served, collided) == (np.count_nonzero(tally == 1), np.count_nonzero(tally >= 2))
+    return tally
 
 
 def assert_singletons_pass_and_idles_stay(policy, exact=False):
@@ -38,25 +47,26 @@ def assert_singletons_pass_and_idles_stay(policy, exact=False):
 
 class TestFactor:
     def test_literal_rule_pair(self):
-        assert factor(AcbPolicy("opt-lit"), 2) == pytest.approx(0.5)
+        assert barring_factor(AcbPolicy("opt-lit"), 2) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("kind", ["gf", "opt-inv", "opt-lit"])
     def test_singleton_always_passes(self, kind):
         assert_singletons_pass_and_idles_stay(AcbPolicy(kind))
 
     def test_static_singleton_passes(self):
-        assert collided_factors(AcbPolicy("static", 0.2), [5, 2]) == [0.2, 0.2]
+        assert [barring_factor(AcbPolicy("static", 0.2), k) for k in (5, 2)] == [0.2, 0.2]
         # factor 0 empties every collided channel, and still serves each singleton
         assert_singletons_pass_and_idles_stay(AcbPolicy("static", 0.0), exact=True)
 
     def test_inverse_rule(self):
-        assert collided_factors(AcbPolicy("opt-inv"), [4, 2]) == pytest.approx([0.25, 0.5])
+        factors = [barring_factor(AcbPolicy("opt-inv"), k) for k in (4, 2)]
+        assert factors == pytest.approx([0.25, 0.5])
 
     @pytest.mark.parametrize("kind", ["gf", "static", "opt-inv", "opt-lit"])
     def test_per_channel_factors_follow_the_rule(self, kind, rng):
         policy = AcbPolicy(kind, 0.3) if kind == "static" else AcbPolicy(kind)
         loaded = rng.integers(2, 9, size=300)
-        factors = collided_factors(policy, loaded.tolist())
+        factors = [barring_factor(policy, k) for k in loaded.tolist()]
         assert len(factors) == loaded.size
         k = loaded.astype(float)
         rule = {"gf": np.ones_like(k), "static": np.full_like(k, 0.3),
@@ -64,7 +74,7 @@ class TestFactor:
         assert np.array_equal(factors, rule)
 
     def test_grant_free_always_one(self):
-        assert factor(AcbPolicy("gf"), 50) == 1.0
+        assert barring_factor(AcbPolicy("gf"), 50) == 1.0
 
     def test_negative_count_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -85,21 +95,20 @@ class TestFactor:
 class TestRound:
     def test_degenerate_probabilities(self, rng):
         loaded = [5, 5, 2]
-        assert collided_outcomes(AcbPolicy("static", 1.0), loaded, rng) == (0, 0)
-        assert collided_outcomes(AcbPolicy("static", 0.0), loaded, rng) == (0, 3)
+        assert barred_outcomes(AcbPolicy("static", 0.0), loaded, len(loaded), rng) == (0, 3)
+        # static 1 bars nobody: 12 UEs on 4 channels collide somewhere, and draw only the tally
+        assert np.count_nonzero(assert_draws_only_the_tally(AcbPolicy("static", 1.0), 12, 4) >= 2)
 
-    def test_pass_one_consumes_no_randomness(self, rng):
-        state = rng.bit_generator.state
-        loaded = [7, 2, 3]
+    def test_pass_one_consumes_no_randomness(self):
         for policy in (AcbPolicy("gf"), AcbPolicy("static", 1.0)):
-            assert collided_outcomes(policy, loaded, rng) == (0, 0)
-            assert loaded == [7, 2, 3]
-        assert rng.bit_generator.state == state
+            for seed in range(20):
+                tally = assert_draws_only_the_tally(policy, 12, 4, seed)
+                assert np.count_nonzero(tally >= 2)  # a collided channel, left unbarred
 
     def test_single_survivor_frequency(self, rng):
         # binomial pmf oracle: P(exactly 1 of 10 at p=0.1) = 10 * 0.1 * 0.9^9
         trials = 100_000
-        alone, _ = collided_outcomes(AcbPolicy("static", 0.1), [10] * trials, rng)
+        alone, _ = barred_outcomes(AcbPolicy("static", 0.1), [10] * trials, trials, rng)
         p = stats.binom.pmf(1, 10, 0.1)
         assert p == pytest.approx(10 * 0.1 * 0.9**9)
         se = math.sqrt(p * (1 - p) / trials)
@@ -107,7 +116,7 @@ class TestRound:
 
     def test_survivors_bounded_and_mean(self, rng):
         for n, p in [(4, 0.3), (12, 0.8), (30, 0.05)]:
-            alone, emptied = collided_outcomes(AcbPolicy("static", p), [n] * 4000, rng)
+            alone, emptied = barred_outcomes(AcbPolicy("static", p), [n] * 4000, 4000, rng)
             assert 0 <= alone and 0 <= emptied and alone + emptied <= 4000
             for seen, survivors in ((emptied, 0), (alone, 1)):
                 q = stats.binom.pmf(survivors, n, p)
@@ -125,7 +134,7 @@ class TestRound:
             [5, TABLE_CAP - 1, 2, TABLE_CAP, 40, TABLE_CAP + 1, 3 * TABLE_CAP, 10**6, 3],
         ):
             r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-            alone, emptied = collided_outcomes(policy, loaded, r1)
+            alone, emptied = barred_outcomes(policy, loaded, len(loaded), r1)
             expect_alone = expect_empty = 0
             for k, u in zip(loaded, r2.random(len(loaded))):
                 f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[kind]
@@ -142,13 +151,12 @@ class TestRound:
         collided = [k for k in tally if k >= 2]
         for seed in range(20):
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert collided_outcomes(policy, tally, r1) == collided_outcomes(policy, collided, r2)
+            n = len(collided)
+            assert barred_outcomes(policy, tally, n, r1) == barred_outcomes(policy, collided, n, r2)
             assert r1.bit_generator.state == r2.bit_generator.state
-        # a tally without a collided channel draws nothing
-        r1 = np.random.default_rng(0)
-        state = r1.bit_generator.state
-        assert collided_outcomes(policy, [0, 1, 1, 0], r1) == (0, 0)
-        assert r1.bit_generator.state == state
+        # a tally without a collided channel draws nothing past itself
+        for n_ues in (0, 1):
+            assert not np.count_nonzero(assert_draws_only_the_tally(policy, n_ues, 4) >= 2)
 
 
 class TestThresholdTable:
@@ -177,7 +185,8 @@ class TestThresholdTable:
         try:
             for policy in [AcbPolicy(p.kind, p.p) for p in BARRING]:
                 for i in range(0, len(counts), 54):  # a frame's worth of channels per call
-                    collided_outcomes(policy, list(counts[i:i + 54]), rng)
+                    chunk = list(counts[i:i + 54])
+                    barred_outcomes(policy, chunk, len(chunk), rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -196,7 +205,7 @@ class TestClosedFormOutcome:
         rng = np.random.default_rng(7300 + k)
         f = {"static": 0.4, "opt-inv": 1 / k, "opt-lit": 1 - 1 / k}[policy.kind]
         empty, alone = stats.binom.pmf(0, k, f), stats.binom.pmf(1, k, f)
-        ended_alone, emptied = collided_outcomes(policy, [k] * self.TRIALS, rng)
+        ended_alone, emptied = barred_outcomes(policy, [k] * self.TRIALS, self.TRIALS, rng)
         collided = self.TRIALS - ended_alone - emptied
         for seen, p in ((emptied, empty), (ended_alone, alone), (collided, 1 - empty - alone)):
             se = math.sqrt(p * (1 - p) / self.TRIALS)
@@ -207,7 +216,7 @@ class TestClosedFormOutcome:
         rng = np.random.default_rng(11)
         tracemalloc.start()
         try:
-            alone, emptied = collided_outcomes(policy, [10**6], rng)
+            alone, emptied = barred_outcomes(policy, [10**6], 1, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -107,7 +107,7 @@ class TestGradients:
 class TestTraining:
     def test_fits_a_constant(self, rng):
         x = np.stack([rng.uniform(0, 1, size=(5, 3)) for _ in range(48)])[None]
-        start = init_lstm(4, 3, rng, scale=0.05)
+        start = init_lstm(4, rng, scale=0.05)
         (model,), (losses,) = lstm_train(
             (x, np.full((1, 48), 0.37)), epochs=600, learning_rate=0.2, rng=[rng],
             batch_size=16, model=[start],

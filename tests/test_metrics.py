@@ -12,7 +12,7 @@ from rasim.metrics import (
     predictor_mse,
 )
 from rasim.scenarios import steady_point_summary
-from conftest import make_config
+from conftest import frame_rows, make_config
 
 
 class TestThroughput:
@@ -30,7 +30,7 @@ class TestThroughput:
 
     def test_equals_recomputation_from_observation(self):
         cfg = make_config(frames=30, slicer="counts:3,20", seed=6)
-        for fr in run_simulation(cfg):
+        for fr in frame_rows(run_simulation(cfg)):
             direct = normalized_throughput(fr.served_u, fr.served_m, fr.l_u, fr.l_m)
             assert direct == (fr.served_u + fr.served_m) / (fr.l_u + fr.l_m)
 

@@ -19,9 +19,9 @@ from rasim.predictor import (
 )
 
 
-def row(t, u=(1, 2, 2), m=(10, 5, 34)):
-    """Frame t's FrameResult, whose channels of each class ended (success, collision, idle)."""
-    return FrameResult(t, 0, 0, 0, 0, 0, 0, sum(u), sum(m), u[0], m[0], u[1], m[1])
+def row(u=(1, 2, 2), m=(10, 5, 34)):
+    """A frame's FrameResult, whose channels of each class ended (success, collision, idle)."""
+    return FrameResult(0, 0, 0, 0, 0, 0, sum(u), sum(m), u[0], m[0], u[1], m[1])
 
 
 def table(*lanes):
@@ -31,7 +31,7 @@ def table(*lanes):
 
 class TestHistory:
     def test_normalized_window(self):
-        win_u, win_m = state_fractions(table([row(0, u=(1, 1, 2), m=(0, 0, 0))]))[0]
+        win_u, win_m = state_fractions(table([row(u=(1, 1, 2), m=(0, 0, 0))]))[0]
         assert win_u.tolist() == [[0.25, 0.25, 0.5]]
         assert win_m.tolist() == [[0.0, 0.0, 0.0]]  # zero-channel frame
 
@@ -76,14 +76,14 @@ class TestNaive:
         assert estimate_from_idle(0, 54, 777) == 777
 
     def test_naive_predict_per_class(self):
-        last = row(0, u=(0, 0, 5), m=(0, 54, 0))
+        last = row(u=(0, 0, 5), m=(0, 54, 0))
         pred = naive_predict(last, 25, 1000, PredictionResult(2, 7))
         assert pred.k_hat_u == 0
         assert pred.k_hat_m == 1000  # saturated: no idle channels
 
     def test_mode_without_channels_takes_prior(self):
         # an unobserved mode must not read as empty, or it never gets channels again
-        last = row(0, u=(0, 0, 0), m=(0, 0, 0))
+        last = row(u=(0, 0, 0), m=(0, 0, 0))
         assert naive_predict(last, 25, 1000, PredictionResult(2, 7)) == PredictionResult(2, 7)
 
 
@@ -98,26 +98,26 @@ class TestLstmPredictions:
     def test_clamped_above_population(self, rng):
         # raw head output 1.2 clamps to 1.0, so the estimate is the population
         pred = self._predictor(rng, b_out_u=1.2, b_out_m=1.2)
-        (res,) = predict_backlogs(pred, table([row(0)]))
+        (res,) = predict_backlogs(pred, table([row()]))
         assert (res.k_hat_u, res.k_hat_m) == (25, 1000)
 
     def test_rounding_and_scaling(self, rng):
         pred = self._predictor(rng, b_out_u=0.1, b_out_m=0.0301)
-        (res,) = predict_backlogs(pred, table([row(0)]))
+        (res,) = predict_backlogs(pred, table([row()]))
         assert res.k_hat_u == round(0.1 * 25)
         assert res.k_hat_m == round(0.0301 * 1000)
 
     def test_empty_history_rejected(self, rng):
         pred = self._predictor(rng)
         with pytest.raises(ValueError):
-            predict_backlogs(pred, table([row(0)])[:, :0])
+            predict_backlogs(pred, table([row()])[:, :0])
 
     def test_invariant_to_channel_count_scale(self, rng):
         # doubling every raw count leaves the normalized window, and hence the
         # prediction, unchanged
         pred = LstmPredictor(init_lstm(4, rng=rng), init_lstm(4, rng=rng), 25, 1000, t_w=4)
-        h1 = [row(t, u=(1, 2, 3), m=(5, 6, 7)) for t in range(4)]
-        h2 = [row(t, u=(2, 4, 6), m=(10, 12, 14)) for t in range(4)]
+        h1 = [row(u=(1, 2, 3), m=(5, 6, 7)) for _ in range(4)]
+        h2 = [row(u=(2, 4, 6), m=(10, 12, 14)) for _ in range(4)]
         assert predict_backlogs(pred, table(h1)) == predict_backlogs(pred, table(h2))
 
     def test_several_histories_in_one_pass(self, rng):
@@ -125,8 +125,8 @@ class TestLstmPredictions:
         model_u.b_out = model_m.b_out = 0.3
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
         lanes = [
-            [row(t, u=tuple(rng.integers(0, 9, size=3).tolist()),
-                 m=tuple(rng.integers(0, 30, size=3).tolist())) for t in range(6)]
+            [row(u=tuple(rng.integers(0, 9, size=3).tolist()),
+                 m=tuple(rng.integers(0, 30, size=3).tolist())) for _ in range(6)]
             for _ in range(5)
         ]
         window = table(*lanes)[:, 2:]  # the last 4 frames of every lane
@@ -160,11 +160,11 @@ class TestLstmPredictions:
 class TestTrainingPairs:
     def test_window_precedes_target(self):
         # frame t holds 10 t active URLLC UEs (new + retry) and 100 t mMTC ones
-        trace = [
-            row(t, u=(t, 0, 0), m=(0, 0, t))._replace(
+        trace = np.array([
+            row(u=(t, 0, 0), m=(0, 0, t))._replace(
                 new_u=4 * t, retry_u=6 * t, new_m=30 * t, retry_m=70 * t)
             for t in range(7)
-        ]
+        ])
         x, y = training_pairs(trace, t_w=3, population_u=100, population_m=1000)
         assert x.shape[1] == 4  # targets at t = 3..6
         first_window, first_target = x[0, 0], y[0, 0]
@@ -176,7 +176,7 @@ class TestTrainingPairs:
 
     def test_trace_without_a_full_window_rejected(self):
         for frames in (0, 2, 3):
-            trace = [row(t) for t in range(frames)]
+            trace = np.array([row()] * frames, np.int64)
             with pytest.raises(ValueError, match="t_w=3"):
                 training_pairs(trace, 3, 10, 10)
 
@@ -194,7 +194,7 @@ class TestSerialization:
         loaded = load_predictor(p1)
         assert loaded.population_u == 25 and loaded.population_m == 1000
         assert loaded.t_w == 8
-        window = table([row(0)])
+        window = table([row()])
         assert predict_backlogs(loaded, window) == predict_backlogs(pred, window)
         for (_, a), (_, b) in zip(pred.model_u.param_items(), loaded.model_u.param_items()):
             assert np.array_equal(a, b)
