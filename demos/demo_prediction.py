@@ -22,6 +22,7 @@ cfg = SimulationConfig(
     seed=3,
 )
 
+# tests/test_acceptance.py (C10) checks the val and naive lines of this report
 print("training on 1000 grant-free frames (two models, 20 hidden units each)...")
 predictor, report = train_backlog_predictor(cfg, samples=1000, epochs=100)
 print(f"  train nmse: urllc={report.train_mse_u:.2e} mmtc={report.train_mse_m:.2e}")

@@ -9,7 +9,7 @@ packing for inspection, ``validate`` checks a config file. Exit codes:
 from __future__ import annotations
 
 # rasim (and so numpy) loads before argparse: the other order peaks higher in RSS
-from .config import ConfigError, config_hash, load_config
+from .config import ConfigError, config_hash, config_to_dict, load_config
 from .predictor import save_predictor
 from .scenarios import PRESETS, Scenario, ScenarioPoint, run_scenario
 from .slicing import maxrect_slice, plan_dump_lines, render_plan_grid, validate_constraints
@@ -114,7 +114,7 @@ def cmd_slice(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    print(f"ok (config hash {config_hash(cfg)[:16]})")
+    print(f"ok (config hash {config_hash(config_to_dict(cfg))[:16]})")
     return 0
 
 

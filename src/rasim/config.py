@@ -64,7 +64,7 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
     return out
 
 
-def config_hash(cfg: SimulationConfig) -> str:
-    """Stable digest of the full parameter set, for run manifests."""
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+def config_hash(config: dict) -> str:
+    """Stable digest of a config_to_dict dict, the full parameter set, for run manifests."""
+    canonical = json.dumps(config, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -175,12 +175,13 @@ def run_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> dict:
         write_point_csv(os.path.join(out_dir, csv_name), result)
         outputs.append(csv_name)
         summary_rows.append((point.label, steady_point_summary(result)))
+        config = config_to_dict(point.cfg)
         point_meta.append(
             {
                 "label": point.label,
                 "seed": point.cfg.seed,
-                "config_hash": config_hash(point.cfg),
-                "config": config_to_dict(point.cfg),
+                "config_hash": config_hash(config),
+                "config": config,
             }
         )
 

@@ -212,28 +212,25 @@ def maxrect_slice(cfg: GridConfig, k_hat_u: int, k_hat_m: int) -> SlicingPlan:
     iota_u, iota_m = _iota_rbs(cfg)
     free = FreeRectSet(cfg.f, cfg.s)
     channels: list[ChannelAssignment] = []
-
-    urllc_shape = ((iota_u, 1, 0),)
-    for _ in range(k_hat_u):
-        spot = free.bottom_left_fit(urllc_shape)
-        if spot is None:
-            break
-        f, w, s, h, mu = spot
-        free.place(f, w, s, h)
-        channels.append(ChannelAssignment(len(channels), URLLC, mu, f, w, s, h))
-
-    ladder = mmtc_box_ladder(iota_m)
-    placed = 0
-    while placed < k_hat_m and free.free_cells >= iota_m:
-        spot = free.bottom_left_fit(ladder)
-        if spot is None:
-            break
-        f, w, s, h, mu = spot
-        free.place(f, w, s, h)
-        channels.append(ChannelAssignment(len(channels), MMTC, mu, f, w, s, h))
-        placed += 1
-
+    _place(free, channels, URLLC, ((iota_u, 1, 0),), k_hat_u, iota_u)
+    _place(free, channels, MMTC, mmtc_box_ladder(iota_m), k_hat_m, iota_m)
     return SlicingPlan(tuple(channels), cfg.f, cfg.s)
+
+
+def _place(
+    free: FreeRectSet, channels: list[ChannelAssignment], mode: str, shapes, demand: int, min_area: int
+):
+    """Append up to demand channels of one mode at bottom-left fits of shapes.
+
+    Stops once the demand is met, the free area drops below min_area, or no
+    shape fits anywhere.
+    """
+    for _ in range(demand):
+        if free.free_cells < min_area or (spot := free.bottom_left_fit(shapes)) is None:
+            break
+        f, w, s, h, mu = spot
+        free.place(f, w, s, h)
+        channels.append(ChannelAssignment(len(channels), mode, mu, f, w, s, h))
 
 
 @functools.cache

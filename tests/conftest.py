@@ -1,6 +1,9 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,44 @@ from rasim.traffic import TrafficConfig
 
 # the directory holding the rasim under test, for PYTHONPATH in fresh interpreters
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rasim.__file__)))
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+(PREDICTION_DEMO,) = (demo for demo in DEMOS if demo.stem == "demo_prediction")
+_PREDICTION_RUN = pytest.StashKey[subprocess.Popen]()
+
+
+def start_demo(demo: Path) -> subprocess.Popen:
+    """Start one demo script in a fresh interpreter, its text output piped."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen(
+        [sys.executable, str(demo)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def finish_demo(proc: subprocess.Popen) -> subprocess.CompletedProcess:
+    """Wait for a started demo to exit and keep its return code, stdout and stderr."""
+    stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def pytest_collection_finish(session):
+    # demo_prediction trains for seconds: once a collected test needs it, start
+    # it now, so the training runs beside the tests collected before that one
+    if any("prediction_demo" in getattr(item, "fixturenames", ()) for item in session.items):
+        session.config.stash[_PREDICTION_RUN] = start_demo(PREDICTION_DEMO)
+
+
+def pytest_unconfigure(config):
+    proc = config.stash.get(_PREDICTION_RUN, None)
+    if proc is not None and proc.poll() is None:  # the session ended before a test read it
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.fixture(scope="session")
+def prediction_demo(pytestconfig) -> subprocess.CompletedProcess:
+    """demo_prediction's one run per session: its training report is what C10 checks."""
+    return finish_demo(pytestconfig.stash.get(_PREDICTION_RUN, None) or start_demo(PREDICTION_DEMO))
 
 
 @pytest.fixture

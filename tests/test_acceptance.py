@@ -5,7 +5,9 @@ report. Stochastic checks use fixed seeds and three-standard-error bands;
 regression values are frozen from the committed deterministic heuristic.
 """
 
+import copy
 import math
+import re
 
 import numpy as np
 
@@ -108,16 +110,20 @@ def test_c05_acb_microbench():
 
 def test_c06_protocol_brute_force_equivalence():
     rng = np.random.default_rng(31337)
-    trials = 100_000
+    trials, tied = 100_000, 2_000
     pol = AcbPolicy("gf")
     checked = 0
     for n in range(1, 5):
         for length in range(1, 4):
             exact = enumerate_success_distribution(n, length)
-            seen = np.zeros(length + 1)
-            for _ in range(trials):
-                served, _ = contend_uniform(n, length, pol, rng)
-                seen[served] += 1
+            twin = copy.deepcopy(rng)
+            tallies = rng.multinomial(n, np.full(length, 1 / length), size=trials)
+            served = np.count_nonzero(tallies == 1, axis=1)
+            collided = np.count_nonzero(tallies >= 2, axis=1)
+            # the rows are the tallies contend_uniform draws, call by call, from the same stream
+            drawn = [contend_uniform(n, length, pol, twin) for _ in range(tied)]
+            assert drawn == list(zip(served[:tied].tolist(), collided[:tied].tolist())), (n, length)
+            seen = np.bincount(served, minlength=length + 1)
             for s in range(length + 1):
                 assert abs(seen[s] / trials - exact.get(s, 0.0)) < 1e-2, (n, length, s)
             checked += 1
@@ -242,7 +248,7 @@ def test_c09_conservation_suite():
     _report("C9 conservation suite", f"{checked_frames} frames across 1000 configs")
 
 
-def test_c10_lstm_verification():
+def test_c10_lstm_verification(prediction_demo):
     # (a) analytic gradients against central finite differences
     rng = np.random.default_rng(42)
     for trial in range(3):
@@ -271,22 +277,26 @@ def test_c10_lstm_verification():
                 a = grads[name].ravel()[idx]
                 assert abs(a - numeric) / max(1.0, abs(a), abs(numeric)) < 1e-4
 
-    # (b) desk-scale training beats the naive estimator on held-out traces
-    cfg = SimulationConfig(
-        traffic=TrafficConfig(k_m=500, k_u=13),
-        slicer="counts:5,49",
-        predictor="perfect",
-        frames=100,
-        seed=3,
-    )
-    _, rep = train_backlog_predictor(cfg, samples=1000, epochs=100)
-    assert rep.val_mse_u < rep.naive_mse_u
-    assert rep.val_mse_m < rep.naive_mse_m
+    # (b) desk-scale training beats the naive estimator on held-out traces.
+    # demo_prediction trains that model (k_m 500, k_u 13, counts:5,49, perfect,
+    # 100 frames, seed 3; 1000 samples, 100 epochs) and prints its report at .2e.
+    # Rounding is monotone, so printed val < printed naive implies it for the exact values.
+    assert prediction_demo.returncode == 0, prediction_demo.stderr
+    val_u, val_m = _printed_nmse(prediction_demo.stdout, "val")
+    naive_u, naive_m = _printed_nmse(prediction_demo.stdout, "naive")
+    assert val_u < naive_u
+    assert val_m < naive_m
     _report(
         "C10 LSTM verification",
-        f"gradcheck ok; val nmse (u={rep.val_mse_u:.2e}, m={rep.val_mse_m:.2e}) "
-        f"< naive (u={rep.naive_mse_u:.2e}, m={rep.naive_mse_m:.2e})",
+        f"gradcheck ok; val nmse (u={val_u:.2e}, m={val_m:.2e}) "
+        f"< naive (u={naive_u:.2e}, m={naive_m:.2e})",
     )
+
+
+def _printed_nmse(stdout: str, name: str) -> tuple[float, float]:
+    """The (urllc, mmtc) values of demo_prediction's `<name> nmse:` line."""
+    (pair,) = re.findall(rf"^ +{name} +nmse: urllc=(\S+) mmtc=(\S+)$", stdout, re.MULTILINE)
+    return float(pair[0]), float(pair[1])
 
 
 def test_c11_determinism(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from conftest import SRC
 
 from rasim.cli import main
-from rasim.config import ConfigError, config_hash, load_config
+from rasim.config import ConfigError, config_hash, config_to_dict, load_config
 from rasim.engine import SimulationConfig, realization_metrics, run_monte_carlo
 
 
@@ -70,8 +70,8 @@ class TestConfigLoading:
             load_config(cfg_file('{"frames": ' + "1" * 5000 + "}"))
 
     def test_hash_is_stable(self, cfg_file):
-        a = config_hash(load_config(cfg_file("")))
-        b = config_hash(load_config(cfg_file("{}")))
+        a = config_hash(config_to_dict(load_config(cfg_file(""))))
+        b = config_hash(config_to_dict(load_config(cfg_file("{}"))))
         assert a == b and len(a) == 64
 
 

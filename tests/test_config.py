@@ -93,6 +93,10 @@ def _integral_as_int(text):
     return int(value) if value.is_integer() else value
 
 
+def _hash(cfg):
+    return config_hash(config_to_dict(cfg))
+
+
 @given(cfg=configs)
 @settings(max_examples=200, deadline=None)
 def test_manifest_form_reads_back_as_the_same_config(cfg):
@@ -100,14 +104,14 @@ def test_manifest_form_reads_back_as_the_same_config(cfg):
     assert config_from_dict(recorded) == cfg
     # as written to and read from manifest.json
     assert config_from_dict(json.loads(json.dumps(recorded))) == cfg
-    assert config_hash(config_from_dict(recorded)) == config_hash(cfg)
+    assert _hash(config_from_dict(recorded)) == _hash(cfg)
 
 
 @given(a=configs, data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_hash_equal_only_for_equal_configs(a, data):
     b = data.draw(st.one_of(st.just(a), configs))
-    assert (config_hash(a) == config_hash(b)) == (a == b)
+    assert (_hash(a) == _hash(b)) == (a == b)
 
 
 @given(cfg=configs)
@@ -116,7 +120,7 @@ def test_float_fields_hash_alike_however_spelled(cfg):
     # the manifest form with every integral float written as an integer (3.0 as 3, -0.0 as 0)
     respelled = json.loads(json.dumps(config_to_dict(cfg)), parse_float=_integral_as_int)
     assert config_from_dict(respelled) == cfg
-    assert config_hash(config_from_dict(respelled)) == config_hash(cfg)
+    assert _hash(config_from_dict(respelled)) == _hash(cfg)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +134,7 @@ def test_float_fields_hash_alike_however_spelled(cfg):
 )
 def test_float_field_spellings_hash_alike(a, b):
     cfg_a, cfg_b = config_from_dict(a), config_from_dict(b)
-    assert cfg_a == cfg_b and config_hash(cfg_a) == config_hash(cfg_b)
+    assert cfg_a == cfg_b and _hash(cfg_a) == _hash(cfg_b)
     assert config_to_dict(cfg_a) == config_to_dict(cfg_b)
 
 
@@ -145,7 +149,7 @@ def test_float_field_spellings_hash_alike(a, b):
 )
 def test_slicer_spellings_give_one_config(a, b):
     cfg_a, cfg_b = config_from_dict({"slicer": a}), config_from_dict({"slicer": b})
-    assert cfg_a == cfg_b and config_hash(cfg_a) == config_hash(cfg_b)
+    assert cfg_a == cfg_b and _hash(cfg_a) == _hash(cfg_b)
     assert config_to_dict(cfg_a)["slicer"] == b
 
 
@@ -187,7 +191,7 @@ def test_no_malformed_config_can_be_constructed(make):
 def test_static_factors_one_step_apart_hash_apart(p):
     a = SimulationConfig(acb=AcbPolicy("static", p))
     b = SimulationConfig(acb=AcbPolicy("static", math.nextafter(p, 1.0)))
-    assert config_hash(a) != config_hash(b)
+    assert _hash(a) != _hash(b)
     assert config_from_dict(config_to_dict(b)) == b
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_maximal_rects, exhaustive_pack_count, rasterize
 
@@ -105,6 +107,30 @@ class TestMaxRect:
     def test_negative_demand_rejected(self, stock_grid):
         with pytest.raises(ValueError):
             maxrect_slice(stock_grid, -1, 0)
+
+    @given(
+        f=st.integers(1, 24),
+        s=st.integers(1, 6),
+        nu=st.integers(1, 14),
+        p_u=st.integers(1, 40),
+        p_m=st.integers(1, 120),
+        xi=st.integers(0, 5),
+        k_u=st.integers(0, 60),
+        k_m=st.integers(0, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_placement_order_does_not_depend_on_demand(self, f, s, nu, p_u, p_m, xi, k_u, k_m):
+        # the rule urllc_room and mmtc_room rest on: a demand only cuts each
+        # mode's placement sequence short, it never reorders or moves a channel
+        grid = GridConfig(f=f, s=s, nu=nu, p_u=p_u, p_m=p_m, xi=xi)
+        big = f * s + 1  # more channels than the grid has cells
+        plan = maxrect_slice(grid, k_u, k_m)
+        strips = maxrect_slice(grid, big, 0)
+        assert plan.l_u == min(k_u, strips.l_u)
+        assert plan.channels[: plan.l_u] == strips.channels[: plan.l_u]
+        boxes = maxrect_slice(grid, plan.l_u, big)
+        assert plan.l_m == min(k_m, boxes.l_m)
+        assert plan.channels[plan.l_u :] == boxes.channels[plan.l_u : plan.l_total]
 
     def test_fuzz_constraints_and_area(self, rng):
         for _ in range(400):
