@@ -108,23 +108,19 @@ def _thresholds(policy: AcbPolicy, k: int) -> tuple[float, float]:
 # busiest channels hold ~1640 contenders; a channel at or past the cap (fig5
 # has some) computes its own thresholds with _thresholds.
 TABLE_CAP = 2048
-_TABLES: dict[tuple[str, float], tuple[memoryview, memoryview]] = {}
 
 
+@functools.cache  # equal policies hash alike, so they share one table
 def _threshold_table(policy: AcbPolicy) -> tuple[memoryview, memoryview]:
     """(empty, alone) thresholds of policy at index k, for every k in 2 .. TABLE_CAP - 1.
 
     Each is a flat buffer of C doubles, which hold a Python float exactly.
     """
-    key = (policy.kind, policy.p)
-    table = _TABLES.get(key)
-    if table is None:
-        empty_at = memoryview(bytearray(8 * TABLE_CAP)).cast("d")
-        alone_at = memoryview(bytearray(8 * TABLE_CAP)).cast("d")
-        for k in range(2, TABLE_CAP):
-            empty_at[k], alone_at[k] = _thresholds(policy, k)
-        table = _TABLES[key] = (empty_at, alone_at)
-    return table
+    empty_at = memoryview(bytearray(8 * TABLE_CAP)).cast("d")
+    alone_at = memoryview(bytearray(8 * TABLE_CAP)).cast("d")
+    for k in range(2, TABLE_CAP):
+        empty_at[k], alone_at[k] = _thresholds(policy, k)
+    return empty_at, alone_at
 
 
 def barred_outcomes(policy: AcbPolicy, counts: list[int], collided: int, rng) -> tuple[int, int]:

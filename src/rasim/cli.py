@@ -29,6 +29,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names nothing to write")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rasim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,14 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True)
     sim.add_argument("--preset", choices=sorted(PRESETS))
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--out", default="out")
+    sim.add_argument("--out", default="out", type=_out_path)
     sim.add_argument("--realizations", type=int)
     sim.add_argument("--frames", type=int)
     sim.add_argument("--workers", type=int, default=1)
 
     tr = sub.add_parser("train", help="train the backlog predictor")
     tr.add_argument("--config", required=True)
-    tr.add_argument("--out", required=True)
+    tr.add_argument("--out", required=True, type=_out_path)
     tr.add_argument("--samples", type=int, default=1000)
     tr.add_argument("--epochs", type=int, default=100)
 
@@ -85,6 +91,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    for name in ("k_u", "k_m"):  # an empty class has no backlog to normalize
+        if getattr(cfg.traffic, name) == 0:
+            raise ConfigError(f"{args.config}: traffic: {name} is 0; training needs both classes")
     parent = os.path.dirname(args.out) or "."  # checked before any epoch starts
     if os.path.isdir(args.out) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ConfigError(f"--out {args.out}: cannot write a file there")

@@ -105,15 +105,15 @@ def _sigmoid(x):
     return np.divide(1.0, out, out=out)
 
 
-def _forward_batch(model: LstmModel, x: np.ndarray, caches: list | None = None):
+def _forward_batch(model: LstmModel, x: np.ndarray, steps: list | None = None):
     """Run the recurrence over a batch of windows x (..., n, t, input).
 
     Axes before the batch axis are class axes and pair with the model's.
-    Returns raw head outputs (..., n) and the final (hidden, cell) state.
-    Given a list, appends to it per step the caches that BPTT needs: the cell
-    state before the step, the sigmoid of the forget|input|output block and
-    the candidate. The hidden state is left out; BPTT recomputes it with the
-    forward pass's own ops. Without a list, no step's arrays outlive it.
+    Returns raw head outputs (..., n) and the final hidden state. Given a
+    list, appends to it per step what BPTT reads: the cell and hidden state
+    before the step, the sigmoid of the forget|input|output block, the
+    candidate and the tanh of the new cell state. Without a list, no step's
+    arrays outlive it.
     """
     if x.ndim < 3 or x.shape[-1] != model.input_size:
         raise ValueError(
@@ -131,12 +131,13 @@ def _forward_batch(model: LstmModel, x: np.ndarray, caches: list | None = None):
         a += b
         s = _sigmoid(a[..., : 3 * hd])
         g = np.tanh(a[..., 3 * hd :])
-        if caches is not None:
-            caches.append((c, s, g))
-        c = s[..., :hd] * c + s[..., hd : 2 * hd] * g
-        h = s[..., 2 * hd :] * np.tanh(c)
+        c_new = s[..., :hd] * c + s[..., hd : 2 * hd] * g
+        tc = np.tanh(c_new)
+        if steps is not None:
+            steps.append((c, h, s, g, tc))
+        c, h = c_new, s[..., 2 * hd :] * tc
     y = (h @ model.w_out[..., :, None])[..., 0] + np.asarray(model.b_out)[..., None]
-    return y, (h, c)
+    return y, h
 
 
 def lstm_forward(model: LstmModel, window: np.ndarray):
@@ -164,8 +165,8 @@ def lstm_loss_and_grads(model: LstmModel, x: np.ndarray, targets: np.ndarray):
     With class axes, x is (..., n, t, input) and targets (..., n); the loss
     and every gradient then carry the class axes, entry c being model c's.
     """
-    caches = []
-    y, (h_last, c_last) = _forward_batch(model, x, caches)
+    steps = []
+    y, h_last = _forward_batch(model, x, steps)
     n = x.shape[-3]
     hd = model.hidden_size
     err = y - targets
@@ -180,17 +181,14 @@ def lstm_loss_and_grads(model: LstmModel, x: np.ndarray, targets: np.ndarray):
         "b_out": np.sum(d_y, axis=-1)[..., None],
     }
     dh = d_y[..., :, None] * model.w_out[..., None, :]
-    dc = np.zeros_like(c_last)
-    tc = np.tanh(c_last)
-    for t in reversed(range(len(caches))):
-        c_prev, s, g = caches[t]
+    dc = np.zeros_like(h_last)
+    for t in reversed(range(len(steps))):
+        c_prev, h_prev, s, g, tc = steps[t]
         dc = dc + dh * s[..., 2 * hd :] * (1.0 - tc**2)
         ds = np.concatenate([dc * c_prev, dc * g, dh * tc], axis=-1)
         ds *= s
         ds *= 1.0 - s
         da = np.concatenate([ds, dc * s[..., hd : 2 * hd] * (1.0 - g**2)], axis=-1)
-        tc = np.tanh(c_prev)
-        h_prev = caches[t - 1][1][..., 2 * hd :] * tc if t else np.zeros_like(c_prev)
         da_t = np.swapaxes(da, -1, -2)
         grads["w_x"] += da_t @ x[..., t, :]
         grads["w_h"] += da_t @ h_prev
@@ -243,7 +241,7 @@ def lstm_train(
     k, n = y.shape
     if n == 0:
         raise ValueError("training dataset is empty")
-    if y.min() < -1e-9 or y.max() > 1.0 + 1e-9:
+    if not (y.min() >= -1e-9 and y.max() <= 1.0 + 1e-9):  # NaN fails both
         raise ValueError("targets must be normalized to [0, 1]")
     if model is None:
         model = [init_lstm(hidden_size, r, x.shape[-1]) for r in rng]

@@ -131,8 +131,7 @@ class FreeRectSet:
     Rectangles are (f_start, f_len, s_start, s_len) tuples. After each
     placement every intersecting free rectangle is split into up to four
     maximal remainders and contained rectangles are pruned, so the set stays
-    exactly the maximal rectangles of the free region. ``free_cells`` tracks
-    the exact uncovered area.
+    exactly the maximal rectangles of the free region.
     """
 
     def __init__(self, f_size: int, s_size: int):
@@ -141,7 +140,6 @@ class FreeRectSet:
         self.rects: list[tuple[int, int, int, int]] = (
             [(0, f_size, 0, s_size)] if f_size > 0 and s_size > 0 else []
         )
-        self.free_cells = f_size * s_size
 
     def place(self, bf: int, bw: int, bs: int, bh: int):
         """Carve the box (bf, bw, bs, bh) out of the free region."""
@@ -161,7 +159,6 @@ class FreeRectSet:
             if bs2 < rs2:
                 out.append((rf, rw, bs2, rs2 - bs2))
         self.rects = _prune_contained(out)
-        self.free_cells -= bw * bh
 
     def bottom_left_fit(self, shapes) -> tuple[int, int, int, int, int] | None:
         """First (box, corner) along the bottom-left order that hosts a shape.
@@ -204,29 +201,26 @@ def maxrect_slice(cfg: GridConfig, k_hat_u: int, k_hat_m: int) -> SlicingPlan:
     URLLC channels go first as single-slot strips of the full packet width.
     mMTC channels then walk the bottom-left corners, escalating through the
     numerology box ladder whenever the current shape does not fit, and stop
-    once the demand is met, the free area drops below one packet, or no shape
-    fits anywhere. Returns fewer channels than requested when space runs out.
+    once the demand is met or no shape fits anywhere. Returns fewer channels
+    than requested when space runs out.
     """
     if k_hat_u < 0 or k_hat_m < 0:
         raise ValueError("channel demands must be non-negative")
     iota_u, iota_m = _iota_rbs(cfg)
     free = FreeRectSet(cfg.f, cfg.s)
     channels: list[ChannelAssignment] = []
-    _place(free, channels, URLLC, ((iota_u, 1, 0),), k_hat_u, iota_u)
-    _place(free, channels, MMTC, mmtc_box_ladder(iota_m), k_hat_m, iota_m)
+    _place(free, channels, URLLC, ((iota_u, 1, 0),), k_hat_u)
+    _place(free, channels, MMTC, mmtc_box_ladder(iota_m), k_hat_m)
     return SlicingPlan(tuple(channels), cfg.f, cfg.s)
 
 
-def _place(
-    free: FreeRectSet, channels: list[ChannelAssignment], mode: str, shapes, demand: int, min_area: int
-):
+def _place(free: FreeRectSet, channels: list[ChannelAssignment], mode: str, shapes, demand: int):
     """Append up to demand channels of one mode at bottom-left fits of shapes.
 
-    Stops once the demand is met, the free area drops below min_area, or no
-    shape fits anywhere.
+    Stops once the demand is met or no shape fits anywhere.
     """
     for _ in range(demand):
-        if free.free_cells < min_area or (spot := free.bottom_left_fit(shapes)) is None:
+        if (spot := free.bottom_left_fit(shapes)) is None:
             break
         f, w, s, h, mu = spot
         free.place(f, w, s, h)

@@ -49,8 +49,6 @@ class TrainingReport:
     val_mse_m: float
     naive_mse_u: float
     naive_mse_m: float
-    epochs: int
-    samples: int
 
 
 def train_backlog_predictor(
@@ -92,8 +90,6 @@ def train_backlog_predictor(
         val_mse_m=predictor_mse(lstm_pred[1], truth.active_m, tc.k_m),
         naive_mse_u=predictor_mse(naive_pred[0], truth.active_u, tc.k_u),
         naive_mse_m=predictor_mse(naive_pred[1], truth.active_m, tc.k_m),
-        epochs=epochs,
-        samples=x.shape[1],
     )
     return predictor, report
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rasim import acb
 from rasim.acb import (
     TABLE_CAP,
     AcbPolicy,
@@ -175,10 +174,10 @@ class TestThresholdTable:
             alone = empty + k * f * rest_barred
             assert (empty_at[k].hex(), alone_at[k].hex()) == (empty.hex(), alone.hex()), k
 
-    def test_tables_stay_small_over_every_count(self, monkeypatch):
+    def test_tables_stay_small_over_every_count(self):
         # all three tables, built from scratch, and every count up to 4 x TABLE_CAP;
         # new policies, since a policy keeps its table once it has looked it up
-        monkeypatch.setattr(acb, "_TABLES", {})
+        _threshold_table.cache_clear()
         rng = np.random.default_rng(5)
         counts = range(2, 4 * TABLE_CAP)
         tracemalloc.start()
@@ -190,7 +189,8 @@ class TestThresholdTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(acb._TABLES) == 3
+        assert _threshold_table.cache_info().currsize == 3
+        assert AcbPolicy("static", 0.4).thresholds is _threshold_table(BARRING[0])  # equal, shared
         assert peak < 256 * 2**10
 
 

@@ -162,6 +162,25 @@ class TestTrainCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("traffic,field", [
+        pytest.param({"k_u": 0}, "k_u", id="no-urllc"),
+        pytest.param({"k_m": 0, "k_m_periodic": 0}, "k_m", id="no-mmtc"),
+    ])
+    def test_empty_class_exits_1_before_any_trace(
+        self, cfg_file, tmp_path, capsys, monkeypatch, traffic, field
+    ):
+        import rasim.training
+
+        def trace(*args, **kwargs):
+            raise AssertionError("a trace was generated for an empty class")
+
+        monkeypatch.setattr(rasim.training, "generate_trace", trace)
+        path = cfg_file({"traffic": traffic})
+        out = tmp_path / "m.txt"
+        assert main(["train", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: traffic: {field} is 0")
+        assert not out.exists()
+
 
 class TestModelFiles:
     """A model file that cannot be read, or does not fit the config, is a config error."""
@@ -347,6 +366,20 @@ class TestExitCodes:
         out = out.replace("{file}", str(blocker)).replace("{tmp}", str(tmp_path))
         assert main([command, "--config", cfg_file(""), "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_empty_out_exits_1_before_any_work(self, cfg_file, capsys, monkeypatch, command):
+        import rasim.cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(rasim.cli, "run_scenario", work)
+        monkeypatch.setattr(rasim.cli, "train_backlog_predictor", work)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_file(""), "--out", ""])
+        assert exc.value.code == 1
+        assert "argument --out: an empty path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--frames", "0"],

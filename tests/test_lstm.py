@@ -129,8 +129,9 @@ class TestTraining:
             lstm_train((np.zeros((1, 0, 4, 3)), np.zeros((1, 0))), epochs=1, rng=[rng])
 
     def test_unnormalized_targets_rejected(self, rng):
-        with pytest.raises(ValueError):
-            lstm_train((np.zeros((1, 1, 4, 3)), np.array([[3.0]])), epochs=1, rng=[rng])
+        for target in (3.0, np.nan):  # NaN fails both bounds' comparisons
+            with pytest.raises(ValueError, match="normalized"):
+                lstm_train((np.zeros((1, 1, 4, 3)), np.array([[target]])), epochs=1, rng=[rng])
 
     def test_dataset_without_class_axis_rejected(self, rng):
         for x, y in (

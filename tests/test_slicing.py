@@ -61,6 +61,13 @@ class TestFixedGrid:
         assert fixed_grid_slice(GridConfig(f=15, s=10)).l_total == 0
 
 
+def fits_anywhere(free: np.ndarray, w: int, h: int) -> bool:
+    """Whether some w x h block of the (f, s) grid is all free."""
+    if w > free.shape[0] or h > free.shape[1]:
+        return False
+    return bool(np.lib.stride_tricks.sliding_window_view(free, (w, h)).all(axis=(2, 3)).any())
+
+
 class TestMaxRect:
     def test_empty_demand(self, stock_grid):
         plan = maxrect_slice(stock_grid, 0, 0)
@@ -153,6 +160,14 @@ class TestMaxRect:
             assert not validate_constraints(plan, cfg), (cfg, ku, km)
             grid = rasterize(plan.channels, f, s)
             assert grid.sum() <= f * s
+            # a mode short of its demand stopped because none of its shapes fit anywhere
+            _, iota_u = packet_size_rbs(cfg.p_u, cfg.m_u, cfg.xi, cfg.nu)
+            _, iota_m = packet_size_rbs(cfg.p_m, cfg.m_m, cfg.xi, cfg.nu)
+            if plan.l_u < ku:
+                assert not fits_anywhere(~grid, iota_u, 1), (cfg, ku, km)
+            if plan.l_m < km:
+                for w, h, _ in mmtc_box_ladder(iota_m):
+                    assert not fits_anywhere(~grid, w, h), (cfg, ku, km, w, h)
 
 
 class TestFreeRectSet:
@@ -168,11 +183,8 @@ class TestFreeRectSet:
                 if fit is None:
                     break
                 bf, w, bs, h, _ = fit
-                before = free.free_cells
                 free.place(bf, w, bs, h)
                 occupied[bf : bf + w, bs : bs + h] = True
-                assert free.free_cells == before - w * h
-                assert free.free_cells == (~occupied).sum()
                 assert set(free.rects) == brute_maximal_rects(occupied)
 
     def test_bottom_left_order_prefers_low_frequency_then_time(self):

@@ -39,12 +39,19 @@ class TestTraceGeneration:
 
 
 class TestTrainBacklogPredictor:
-    def test_report_and_sample_count(self):
-        predictor, report = train_backlog_predictor(
-            low_traffic_config(), samples=120, epochs=10
-        )
-        assert report.samples == 120
-        assert report.epochs == 10
+    def test_report_and_sample_count(self, monkeypatch):
+        import rasim.training
+
+        frames = []  # each trace's length: the windows it yields plus the t_w warm-up
+
+        def recording(cfg, n, seed):
+            frames.append(n)
+            return generate_trace(cfg, n, seed)
+
+        monkeypatch.setattr(rasim.training, "generate_trace", recording)
+        cfg = low_traffic_config()
+        predictor, report = train_backlog_predictor(cfg, samples=120, epochs=10)
+        assert frames == [120 + cfg.t_w, 24 + cfg.t_w]  # training, then held out
         for field in (
             "train_mse_u", "train_mse_m", "val_mse_u", "val_mse_m",
             "naive_mse_u", "naive_mse_m",
