@@ -91,15 +91,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    for name in ("k_u", "k_m"):  # an empty class has no backlog to normalize
-        if getattr(cfg.traffic, name) == 0:
-            raise ConfigError(f"{args.config}: traffic: {name} is 0; training needs both classes")
     parent = os.path.dirname(args.out) or "."  # checked before any epoch starts
     if os.path.isdir(args.out) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ConfigError(f"--out {args.out}: cannot write a file there")
-    predictor, report = train_backlog_predictor(
-        cfg, samples=args.samples, epochs=args.epochs
-    )
+    try:
+        predictor, report = train_backlog_predictor(cfg, samples=args.samples, epochs=args.epochs)
+    except ConfigError as exc:  # raised before any trace is generated
+        raise ConfigError(f"{args.config}: {exc}") from None
     save_predictor(predictor, args.out)
     print(f"model written to {args.out}")
     print(f"train mse (normalized): urllc={report.train_mse_u:.3e} mmtc={report.train_mse_m:.3e}")

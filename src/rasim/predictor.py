@@ -164,7 +164,7 @@ class LstmPredictor:
         model_m: LstmModel,
         population_u: int,
         population_m: int,
-        t_w: int = 10,
+        t_w: int,
     ):
         self.stack = stack_models((model_u, model_m))
         self.population_u = population_u
@@ -180,25 +180,18 @@ class LstmPredictor:
         return unstack_model(self.stack, 1)
 
 
-def predict_windows(predictor: LstmPredictor, windows: np.ndarray) -> list[PredictionResult]:
-    """Estimates for windows (lanes, 2, t, 3) of state fractions, in one forward pass.
+def predict_backlogs(predictor: LstmPredictor, window: np.ndarray) -> list[PredictionResult]:
+    """Each lane's estimate from its rows of window, a (lanes, frames, fields) table slice.
 
-    Both class models run over every lane's window; each raw estimate is
-    scaled to its class population, rounded and clamped to it.
+    Both class models run over every lane's state fractions in one forward
+    pass; each raw estimate is scaled to its class population, rounded and
+    clamped to it. Each equals the estimate of its lane passed alone, exactly.
     """
     pops = (predictor.population_u, predictor.population_m)
     return [
         PredictionResult(*(max(0, min(pop, round(raw * pop))) for raw, pop in zip(row, pops)))
-        for row in lstm_forward(predictor.stack, windows).tolist()
+        for row in lstm_forward(predictor.stack, state_fractions(window)).tolist()
     ]
-
-
-def predict_backlogs(predictor: LstmPredictor, window: np.ndarray) -> list[PredictionResult]:
-    """Each lane's estimate from its rows of window, a (lanes, frames, fields) table slice.
-
-    One forward pass; each equals the estimate of its lane passed alone, exactly.
-    """
-    return predict_windows(predictor, state_fractions(window))
 
 
 def training_pairs(trace: np.ndarray, t_w, population_u, population_m):

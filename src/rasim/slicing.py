@@ -95,10 +95,6 @@ class SlicingPlan:
     def l_m(self) -> int:
         return sum(1 for c in self.channels if c.use_mode == MMTC)
 
-    @property
-    def l_total(self) -> int:
-        return len(self.channels)
-
 
 @dataclass
 class Violation:
@@ -135,8 +131,6 @@ class FreeRectSet:
     """
 
     def __init__(self, f_size: int, s_size: int):
-        self.f_size = f_size
-        self.s_size = s_size
         self.rects: list[tuple[int, int, int, int]] = (
             [(0, f_size, 0, s_size)] if f_size > 0 and s_size > 0 else []
         )

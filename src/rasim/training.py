@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import SimulationConfig, run_simulation
 from .errors import ConfigError
@@ -24,7 +25,7 @@ from .predictor import (
     LstmPredictor,
     cold_start_prior,
     naive_predict,
-    predict_windows,
+    predict_backlogs,
     training_pairs,
 )
 
@@ -61,12 +62,21 @@ def train_backlog_predictor(
     (at least one). Both models train in lockstep, as one stack, each from
     its own generator. Everything is seeded from cfg.seed, so the same config
     yields byte-identical serialized models.
+
+    Each held-out frame after the first t_w is scored from the t_w rows
+    before it, as one lane of predict_backlogs, without the observation
+    floor that the engine applies; the naive baseline reads the last of
+    those rows. A config with an empty class raises ConfigError before
+    any trace is generated: its backlog has nothing to normalize by.
     """
+    tc = cfg.traffic
+    for name in ("k_u", "k_m"):
+        if getattr(tc, name) == 0:
+            raise ConfigError(f"traffic: {name} is 0; training needs both classes")
     if samples < 1:
         raise ConfigError("need at least one training sample")
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    tc = cfg.traffic
     val_samples = max(1, samples // 5)
 
     trace = generate_trace(cfg, samples + cfg.t_w, seed=cfg.seed)
@@ -82,30 +92,19 @@ def train_backlog_predictor(
     predictor = LstmPredictor(model_u, model_m, tc.k_u, tc.k_m, cfg.t_w)
 
     v_trace = generate_trace(cfg, val_samples + cfg.t_w, seed=cfg.seed + 7919)
-    lstm_pred, naive_pred, truth = _score_on_trace(predictor, cfg, v_trace)
+    # lane j holds the t_w rows before held-out frame t_w + j, oldest first
+    windows = sliding_window_view(v_trace[:-1], cfg.t_w, axis=0).swapaxes(-1, -2)
+    lstm_est = np.array(predict_backlogs(predictor, windows)).T
+    prior = cold_start_prior(tc)
+    naive_est = np.array([naive_predict(row, tc.k_u, tc.k_m, prior)
+                          for row in windows[:, -1].tolist()]).T
+    truth = FrameResult(*v_trace[cfg.t_w :].T)
     report = TrainingReport(
         train_mse_u=hist_u[-1],
         train_mse_m=hist_m[-1],
-        val_mse_u=predictor_mse(lstm_pred[0], truth.active_u, tc.k_u),
-        val_mse_m=predictor_mse(lstm_pred[1], truth.active_m, tc.k_m),
-        naive_mse_u=predictor_mse(naive_pred[0], truth.active_u, tc.k_u),
-        naive_mse_m=predictor_mse(naive_pred[1], truth.active_m, tc.k_m),
+        val_mse_u=predictor_mse(lstm_est[0], truth.active_u, tc.k_u),
+        val_mse_m=predictor_mse(lstm_est[1], truth.active_m, tc.k_m),
+        naive_mse_u=predictor_mse(naive_est[0], truth.active_u, tc.k_u),
+        naive_mse_m=predictor_mse(naive_est[1], truth.active_m, tc.k_m),
     )
     return predictor, report
-
-
-def _score_on_trace(predictor: LstmPredictor, cfg: SimulationConfig, trace: np.ndarray):
-    """Both estimators' (2, frames) estimates over one held-out trace, URLLC first, and the truth.
-
-    Every frame after the first t_w is predicted from the t_w frames before
-    it; the LSTM scores all those windows as lanes of one forward pass. The
-    truth is the predicted frames' rows, read by column.
-    """
-    tc = cfg.traffic
-    windows, _ = training_pairs(trace, cfg.t_w, tc.k_u, tc.k_m)
-    lstm_est = predict_windows(predictor, windows.swapaxes(0, 1))
-    prior = cold_start_prior(tc)
-    # the naive estimate reads the last frame only
-    rows = trace[cfg.t_w - 1 : -1].tolist()
-    naive_est = [naive_predict(row, tc.k_u, tc.k_m, prior) for row in rows]
-    return np.array(lstm_est).T, np.array(naive_est).T, FrameResult(*trace[cfg.t_w :].T)

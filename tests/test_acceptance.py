@@ -6,6 +6,7 @@ regression values are frozen from the committed deterministic heuristic.
 """
 
 import copy
+import dataclasses
 import math
 import re
 
@@ -18,6 +19,7 @@ from rasim.engine import (
     SimulationConfig,
     contend_uniform,
     run_monte_carlo,
+    run_points,
     run_simulation,
 )
 from rasim.lstm import init_lstm, lstm_loss_and_grads
@@ -39,14 +41,14 @@ def _report(criterion: str, detail: str):
 
 def test_c01_fixed_grid_baseline():
     plan = fixed_grid_slice(GridConfig())
-    assert plan.l_total == 30
+    assert len(plan.channels) == 30
     assert all(c.f_len == 16 and c.s_len == 1 for c in plan.channels)
     _report("C1 fixed-grid baseline", "30 channels of 16 RB x 1 slot")
 
 
 def test_c02_slicing_capacity_range():
     grid = GridConfig()
-    totals = [maxrect_slice(grid, ku, 41 - ku).l_total for ku in range(1, 41)]
+    totals = [len(maxrect_slice(grid, ku, 41 - ku).channels) for ku in range(1, 41)]
     assert min(totals) == 31
     assert max(totals) == 41
     assert all(31 <= t <= 41 for t in totals)
@@ -80,7 +82,7 @@ def test_c04_small_grid_optimality():
         for f in range(1, 9):
             for s in range(1, 9):
                 cfg = GridConfig(f=f, s=s, nu=1, p_m=iota, m_m=256, xi=0)
-                got = maxrect_slice(cfg, 0, 10**6).l_total
+                got = len(maxrect_slice(cfg, 0, 10**6).channels)
                 opt = exhaustive_pack_count(f, s, shapes)
                 assert got <= opt, (f, s, iota)
                 if opt:
@@ -349,4 +351,40 @@ def test_c12_lstm_holds_up_in_closed_loop(tmp_path):
         "C12 LSTM in closed loop",
         f"gf maxrect steady eta lstm {eta:.3f} +/- {se:.3f} vs naive {eta_naive:.3f} "
         f"+/- {se_naive:.3f}; lstm backlog_m {backlog_m:.1f} of {cfg.traffic.k_m}",
+    )
+
+
+def test_c13_full_scheme_beats_grant_free_at_load(tmp_path):
+    # at k_m 2000 the predictor decides the equilibrium: with maxrect and
+    # opt-inv barring the LSTM keeps the mMTC backlog out of collapse, naive
+    # estimates do not, and without barring (gf) the lanes decode nothing
+    from rasim.predictor import save_predictor
+
+    loaded = SimulationConfig(traffic=TrafficConfig(k_m=2000, k_u=50), seed=1)
+    predictor, _ = train_backlog_predictor(loaded, samples=200, epochs=20)
+    model = tmp_path / "c13.model"
+    save_predictor(predictor, model)
+    points = {
+        "lstm": ("opt-inv", f"lstm:{model}"),
+        "naive": ("opt-inv", "naive"),
+        "gf": ("gf", f"lstm:{model}"),
+        "perfect": ("opt-inv", "perfect"),
+    }
+    cfgs = [
+        dataclasses.replace(loaded, acb=acb, predictor=spec, slicer="maxrect",
+                            frames=200, realizations=16, seed=5)
+        for acb, spec in points.values()
+    ]
+    served_m = {name: steady_point_summary(result)["served_m"]
+                for name, result in zip(points, run_points(cfgs))}
+    lstm, lstm_se = served_m["lstm"]
+    for other in ("naive", "gf"):
+        mean, se = served_m[other]
+        assert lstm - mean > 3 * math.hypot(lstm_se, se), (other, served_m)
+    perfect, perfect_se = served_m["perfect"]
+    _report(
+        "C13 full scheme at load",
+        "maxrect k_m 2000 steady served_m: "
+        + ", ".join(f"{name} {m:.2f} +/- {se:.2f}" for name, (m, se) in served_m.items())
+        + f"; lstm trails perfect by {perfect - lstm:.2f}",
     )

@@ -245,7 +245,8 @@ class TestModelFiles:
         # the fixture's u model (hidden 4) with an m model of hidden 3
         small = tmp_path / "small.model"
         rng = np.random.default_rng(6)
-        save_predictor(LstmPredictor(init_lstm(3, rng=rng), init_lstm(3, rng=rng), 25, 1000), small)
+        pred = LstmPredictor(init_lstm(3, rng=rng), init_lstm(3, rng=rng), 25, 1000, t_w=10)
+        save_predictor(pred, small)
         lines, small_lines = model_file.read_text().splitlines(), small.read_text().splitlines()
         header = lines.index("class m population 1000 hidden 4")
         m_part = small_lines[small_lines.index("class m population 1000 hidden 3"):]

@@ -438,8 +438,8 @@ class TestPredictorsInTheLoop:
             assert np.array_equal(rows, alone), i
 
     def test_lstm_estimate_reads_the_lanes_last_t_w_frames(self, tmp_path):
-        from rasim.lstm import init_lstm
-        from rasim.predictor import LstmPredictor, predict_windows, save_predictor
+        from rasim.lstm import init_lstm, lstm_forward
+        from rasim.predictor import LstmPredictor, save_predictor
 
         rng = np.random.default_rng(5)
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
@@ -450,6 +450,7 @@ class TestPredictorsInTheLoop:
         save_predictor(pred, path)
         cfg = make_config(frames=25, t_w=4, slicer="maxrect", predictor=f"lstm:{path}", seed=8)
         prior = cold_start_prior(cfg.traffic)
+        pops = (cfg.traffic.k_u, cfg.traffic.k_m)
 
         def fractions(fr):
             rows = []
@@ -466,7 +467,9 @@ class TestPredictorsInTheLoop:
             for t in range(1, cfg.frames):
                 rows = [fractions(fr) for fr in frames[max(0, t - cfg.t_w) : t]]
                 window = np.array(rows).swapaxes(0, 1)  # (2, frames, 3), URLLC first
-                from_window = predict_windows(pred, window[None])[0]
+                raw = lstm_forward(pred.stack, window[None])[0].tolist()
+                # scaled to the class population, rounded and clamped to it
+                from_window = tuple(max(0, min(pop, round(r * pop))) for r, pop in zip(raw, pops))
                 last = frames[t - 1]  # a collided channel held two UEs or more
                 floor = (
                     min(cfg.traffic.k_u, last.served_u + 2 * last.collided_u),

@@ -48,17 +48,17 @@ class TestPacketSizing:
 class TestFixedGrid:
     def test_stock_grid_thirty_channels(self, stock_grid):
         plan = fixed_grid_slice(stock_grid)
-        assert plan.l_total == 30
+        assert len(plan.channels) == 30
         assert all(c.f_len == 16 and c.s_len == 1 for c in plan.channels)
         assert plan.l_u == 5 and plan.l_m == 25
         assert not validate_constraints(plan, stock_grid)
 
     def test_minimal_grid(self):
         plan = fixed_grid_slice(GridConfig(f=16, s=1), l_u=0)
-        assert plan.l_total == 1
+        assert len(plan.channels) == 1
 
     def test_too_narrow_grid_is_empty(self):
-        assert fixed_grid_slice(GridConfig(f=15, s=10)).l_total == 0
+        assert len(fixed_grid_slice(GridConfig(f=15, s=10)).channels) == 0
 
 
 def fits_anywhere(free: np.ndarray, w: int, h: int) -> bool:
@@ -71,18 +71,18 @@ def fits_anywhere(free: np.ndarray, w: int, h: int) -> bool:
 class TestMaxRect:
     def test_empty_demand(self, stock_grid):
         plan = maxrect_slice(stock_grid, 0, 0)
-        assert plan.l_total == 0
+        assert len(plan.channels) == 0
 
     def test_stock_grid_regression(self, stock_grid):
         # frozen from the committed deterministic heuristic
         plan = maxrect_slice(stock_grid, 5, 49)
         assert plan.l_u == 5
-        assert plan.l_total == 31
+        assert len(plan.channels) == 31
         assert not validate_constraints(plan, stock_grid)
 
     def test_channel_band_endpoints(self, stock_grid):
         # total channels across a fixed-total demand sweep span exactly 31..41
-        totals = [maxrect_slice(stock_grid, ku, 41 - ku).l_total for ku in range(1, 41)]
+        totals = [len(maxrect_slice(stock_grid, ku, 41 - ku).channels) for ku in range(1, 41)]
         assert min(totals) == 31
         assert max(totals) == 41
 
@@ -99,12 +99,12 @@ class TestMaxRect:
         assert iota == 4
         plan = maxrect_slice(cfg, 0, 100)
         shapes = [(w, h) for (w, h, _) in mmtc_box_ladder(iota)]
-        assert plan.l_total == exhaustive_pack_count(6, 4, shapes) == 6
+        assert len(plan.channels) == exhaustive_pack_count(6, 4, shapes) == 6
 
     def test_demand_shortfall_is_not_an_error(self, stock_grid):
         plan = maxrect_slice(stock_grid, 1000, 1000)
         assert plan.l_u == 50  # 5 per slot x 10 slots
-        assert plan.l_total < 2000
+        assert len(plan.channels) < 2000
 
     def test_determinism(self, stock_grid):
         a = maxrect_slice(stock_grid, 7, 23)
@@ -137,7 +137,7 @@ class TestMaxRect:
         assert plan.channels[: plan.l_u] == strips.channels[: plan.l_u]
         boxes = maxrect_slice(grid, plan.l_u, big)
         assert plan.l_m == min(k_m, boxes.l_m)
-        assert plan.channels[plan.l_u :] == boxes.channels[plan.l_u : plan.l_total]
+        assert plan.channels[plan.l_u :] == boxes.channels[plan.l_u : len(plan.channels)]
 
     def test_fuzz_constraints_and_area(self, rng):
         for _ in range(400):

@@ -77,6 +77,23 @@ class TestTrainBacklogPredictor:
         with pytest.raises(ValueError):
             train_backlog_predictor(low_traffic_config(), samples=10, epochs=0)
 
+    @pytest.mark.parametrize("traffic,field", [
+        pytest.param({"k_u": 0}, "k_u", id="no-urllc"),
+        pytest.param({"k_m": 0, "k_m_periodic": 0}, "k_m", id="no-mmtc"),
+    ])
+    def test_empty_class_is_config_error_before_any_trace(self, monkeypatch, traffic, field):
+        import rasim.training
+        from rasim.config import config_from_dict
+        from rasim.errors import ConfigError
+
+        def trace(*args, **kwargs):
+            raise AssertionError("a trace was generated for an empty class")
+
+        monkeypatch.setattr(rasim.training, "generate_trace", trace)
+        cfg = config_from_dict({"traffic": traffic})
+        with pytest.raises(ConfigError, match=f"^traffic: {field} is 0"):
+            train_backlog_predictor(cfg, samples=20, epochs=2)
+
     def test_deterministic_given_config(self):
         a, _ = train_backlog_predictor(low_traffic_config(), samples=60, epochs=5)
         b, _ = train_backlog_predictor(low_traffic_config(), samples=60, epochs=5)
