@@ -9,6 +9,12 @@ of channels) retries next frame. Under the grant-free policy the barring step
 degenerates to a no-op, so success means being alone on the channel already
 at selection time.
 
+What the station observes depends on the policy. Under gf and static it
+sees each channel's state (idle, success or collision) after selection and
+after barring; under opt-inv and opt-lit it also sees each channel's
+contender count after selection, which sets that channel's factor. The table
+keeps only the served and collided counts after barring.
+
 A point's realizations run as lanes in lockstep; their rows fill one (lanes,
 frames, FrameResult fields) integer table, the history the estimates read and
 the metrics are reduced from. PointConstants holds what a frame reads,

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+PARAMS = ("w_x", "w_h", "b", "w_out", "b_out")  # an LstmModel's fields, in order
+
+
 @dataclass
 class LstmModel:
     """One model, or a stack of them with a leading class axis on every array."""
@@ -31,7 +34,7 @@ class LstmModel:
     w_h: np.ndarray   # (..., 4*hidden, hidden)
     b: np.ndarray     # (..., 4*hidden)
     w_out: np.ndarray  # (..., hidden)
-    b_out: float | np.ndarray  # a float, or (...) for a stack
+    b_out: np.ndarray  # (..., 1)
 
     @property
     def hidden_size(self) -> int:
@@ -42,13 +45,7 @@ class LstmModel:
         return self.w_x.shape[-1]
 
     def param_items(self):
-        return (
-            ("w_x", self.w_x),
-            ("w_h", self.w_h),
-            ("b", self.b),
-            ("w_out", self.w_out),
-            ("b_out", np.asarray(self.b_out, dtype=float)[..., None]),
-        )
+        return tuple((name, getattr(self, name)) for name in PARAMS)
 
 
 def init_lstm(
@@ -66,13 +63,10 @@ def init_lstm(
         w_h=rng.uniform(-scale, scale, size=(4 * h, h)),
         b=np.zeros(4 * h),
         w_out=rng.uniform(-scale, scale, size=h),
-        b_out=0.0,
+        b_out=np.zeros(1),
     )
     model.b[:h] = 1.0
     return model
-
-
-_ARRAYS = ("w_x", "w_h", "b", "w_out")  # an LstmModel's array fields, in order
 
 
 def stack_models(models) -> LstmModel:
@@ -84,17 +78,12 @@ def stack_models(models) -> LstmModel:
     sizes = sorted({m.hidden_size for m in models})
     if len(sizes) > 1:
         raise ValueError(f"stacked models need one hidden size, not {sizes}")
-    return LstmModel(
-        *(np.stack([getattr(m, name) for m in models]) for name in _ARRAYS),
-        b_out=np.array([m.b_out for m in models], dtype=float),
-    )
+    return LstmModel(*(np.stack([getattr(m, name) for m in models]) for name in PARAMS))
 
 
 def unstack_model(stacked: LstmModel, index: int) -> LstmModel:
     """Model ``index`` of a stack; its arrays are views into the stack."""
-    return LstmModel(
-        *(getattr(stacked, name)[index] for name in _ARRAYS), b_out=float(stacked.b_out[index])
-    )
+    return LstmModel(*(getattr(stacked, name)[index] for name in PARAMS))
 
 
 def _sigmoid(x):
@@ -136,21 +125,22 @@ def _forward_batch(model: LstmModel, x: np.ndarray, steps: list | None = None):
         if steps is not None:
             steps.append((c, h, s, g, tc))
         c, h = c_new, s[..., 2 * hd :] * tc
-    y = (h @ model.w_out[..., :, None])[..., 0] + np.asarray(model.b_out)[..., None]
+    y = (h @ model.w_out[..., :, None])[..., 0] + model.b_out
     return y, h
 
 
 def lstm_forward(model: LstmModel, window: np.ndarray):
     """Deterministic estimate for one window (t, input), clamped to [0, 1].
 
-    For a stack of k models the window is (k, t, input), window c going to
-    model c, and the result is an array of k estimates. Axes before those
-    are lane axes: windows (lanes..., k, t, input) give estimates (lanes...,
-    k). Each lane's products stay single-row, so its estimates are exactly
-    those of its window run alone.
+    The model's class axes are those of ``b_out`` before its last: one
+    model's ``b_out`` is (1,), a stack of k models' (k, 1). For a stack the
+    window is (k, t, input), window c going to model c, and the result is an
+    array of k estimates. Axes before those are lane axes: windows (lanes...,
+    k, t, input) give estimates (lanes..., k). Each lane's products stay
+    single-row, so its estimates are exactly those of its window run alone.
     """
     window = np.asarray(window, dtype=float)
-    classes = np.shape(model.b_out)
+    classes = model.b_out.shape[:-1]
     lanes = window.ndim - len(classes) - 2
     if lanes < 0 or window.shape[lanes:-2] != classes or window.shape[-2] < 1:
         raise ValueError("window must be a non-empty (t, input) array per model")
@@ -265,11 +255,8 @@ def lstm_train(
                     f"(lr={learning_rate}, batch={batch_size})"
                 )
             _clip_global_norm(grads)
-            stack.w_x -= learning_rate * grads["w_x"]
-            stack.w_h -= learning_rate * grads["w_h"]
-            stack.b -= learning_rate * grads["b"]
-            stack.w_out -= learning_rate * grads["w_out"]
-            stack.b_out -= learning_rate * grads["b_out"][:, 0]
+            for name in PARAMS:
+                getattr(stack, name)[...] -= learning_rate * grads[name]
             epoch_loss += loss * idx.shape[1]
         losses.append(epoch_loss / n)
     trained = [unstack_model(stack, c) for c in range(k)]

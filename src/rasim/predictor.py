@@ -296,7 +296,7 @@ def load_predictor(path) -> LstmPredictor:
                 w_h=array("w_h", 4 * h, h),
                 b=array("b", 1, 4 * h).ravel(),
                 w_out=array("w_out", 1, h).ravel(),
-                b_out=float(array("b_out", 1, 1)[0, 0]),
+                b_out=array("b_out", 1, 1)[0],
             )
         if set(models) != {"u", "m"}:
             line += 1

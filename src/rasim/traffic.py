@@ -32,8 +32,9 @@ class TrafficConfig:
 
     def __post_init__(self):
         check_scalar_fields(self)
-        if self.k_m < 0 or self.k_u < 0:
-            raise ConfigError("k_m and k_u must be non-negative")
+        for name in ("k_m", "k_u"):  # numpy draws binomials of at most 2**63 - 1 trials
+            if not 0 <= getattr(self, name) < 2**63:
+                raise ConfigError(f"{name} must lie in [0, 2**63), not {getattr(self, name)}")
         if self.k_m_periodic < 0 or self.k_m_periodic > self.k_m:
             raise ConfigError("k_m_periodic must lie in [0, k_m]")
         if self.t_m < 1 or self.t_u < 1:

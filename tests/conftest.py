@@ -80,7 +80,7 @@ def model_file(tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "m.model"
     model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
-    model_u.b_out = model_m.b_out = 0.2  # estimates inside (0, 1) that follow the window
+    model_u.b_out[:] = model_m.b_out[:] = 0.2  # estimates inside (0, 1) that follow the window
     save_predictor(LstmPredictor(model_u, model_m, 25, 1000, t_w=10), path)
     return path
 

@@ -263,18 +263,11 @@ def test_c10_lstm_verification(prediction_demo):
             flat = arr.ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
-                if name == "b_out":
-                    model.b_out = orig + eps
-                    up, _ = lstm_loss_and_grads(model, x, y)
-                    model.b_out = orig - eps
-                    dn, _ = lstm_loss_and_grads(model, x, y)
-                    model.b_out = orig
-                else:
-                    flat[idx] = orig + eps
-                    up, _ = lstm_loss_and_grads(model, x, y)
-                    flat[idx] = orig - eps
-                    dn, _ = lstm_loss_and_grads(model, x, y)
-                    flat[idx] = orig
+                flat[idx] = orig + eps
+                up, _ = lstm_loss_and_grads(model, x, y)
+                flat[idx] = orig - eps
+                dn, _ = lstm_loss_and_grads(model, x, y)
+                flat[idx] = orig
                 numeric = (up - dn) / (2 * eps)
                 a = grads[name].ravel()[idx]
                 assert abs(a - numeric) / max(1.0, abs(a), abs(numeric)) < 1e-4

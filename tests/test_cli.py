@@ -427,6 +427,9 @@ MALFORMED = [
     ({"traffic": None}, "traffic:"),
     ({"traffic": {"alpha": "3"}}, "traffic: alpha"),
     ({"traffic": {"k_m": 1000.5}}, "traffic: k_m"),
+    ({"traffic": {"k_m": -1}}, "traffic: k_m"),
+    ({"traffic": {"k_m": 2**63}}, "traffic: k_m"),
+    ({"traffic": {"k_u": 10**30}}, "traffic: k_u"),
     ({"grid": {"f": "50"}}, "grid: f"),
 ]
 

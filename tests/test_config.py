@@ -11,6 +11,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -184,6 +185,15 @@ def test_settings_are_stored_parsed(setting, text):
 def test_no_malformed_config_can_be_constructed(make):
     with pytest.raises(ConfigError):
         make()
+
+
+@pytest.mark.parametrize("field", ["k_m", "k_u"])
+def test_population_is_bounded_by_what_numpy_draws(field):
+    # numpy's binomial takes at most 2**63 - 1 trials and overflows above
+    largest = TrafficConfig(**{field: 2**63 - 1})
+    np.random.default_rng(0).binomial(getattr(largest, field), 0.5)
+    with pytest.raises(ConfigError, match=f"^{field} must lie in"):
+        TrafficConfig(**{field: 2**63})
 
 
 @given(p=st.floats(0.0, 1.0, exclude_max=True))

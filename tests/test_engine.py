@@ -444,7 +444,7 @@ class TestPredictorsInTheLoop:
         rng = np.random.default_rng(5)
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
         # estimates that follow the window, and in some frames of each class fall below the floor
-        model_u.b_out, model_m.b_out = 0.2, 0.05
+        model_u.b_out[:], model_m.b_out[:] = 0.2, 0.05
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
         path = tmp_path / "m.model"
         save_predictor(pred, path)

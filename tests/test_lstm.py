@@ -23,7 +23,7 @@ def zero_model(hidden=4, inputs=3, b_out=0.0):
         w_h=np.zeros((4 * hidden, hidden)),
         b=np.zeros(4 * hidden),
         w_out=np.zeros(hidden),
-        b_out=b_out,
+        b_out=np.array([b_out]),
     )
 
 
@@ -51,7 +51,7 @@ class TestForward:
             w_h=np.zeros((4, 1)),
             b=np.array([1.0, 0.0, 0.0, 0.0]),
             w_out=np.array([2.0]),
-            b_out=0.05,
+            b_out=np.array([0.05]),
         )
 
         def s(v):
@@ -86,18 +86,11 @@ class TestGradients:
             flat = arr.ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
-                if name == "b_out":
-                    model.b_out = orig + eps
-                    up, _ = lstm_loss_and_grads(model, x, y)
-                    model.b_out = orig - eps
-                    dn, _ = lstm_loss_and_grads(model, x, y)
-                    model.b_out = orig
-                else:
-                    flat[idx] = orig + eps
-                    up, _ = lstm_loss_and_grads(model, x, y)
-                    flat[idx] = orig - eps
-                    dn, _ = lstm_loss_and_grads(model, x, y)
-                    flat[idx] = orig
+                flat[idx] = orig + eps
+                up, _ = lstm_loss_and_grads(model, x, y)
+                flat[idx] = orig - eps
+                dn, _ = lstm_loss_and_grads(model, x, y)
+                flat[idx] = orig
                 numeric = (up - dn) / (2 * eps)
                 a = analytic.ravel()[idx]
                 rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
@@ -193,7 +186,7 @@ class TestStackedModels:
     def test_unstack_returns_each_model(self, rng):
         models = self._pair(rng, hidden=(5, 5))
         stack = stack_models(models)
-        assert stack.w_x.shape == (2, 20, 3) and stack.b_out.shape == (2,)
+        assert stack.w_x.shape == (2, 20, 3) and stack.b_out.shape == (2, 1)
         for c, model in enumerate(models):
             back = unstack_model(stack, c)
             for (_, a), (_, b) in zip(model.param_items(), back.param_items()):

@@ -2,19 +2,31 @@
 run, or, for a name the tracer binds, silently makes its layer read 0."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import types
+import typing
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
-# read off instances, out of reach of the scan below
+# read off instances, out of reach of the scan below; a dataclass field
+# resolves to its declared type, so a chain follows the fields it reads
 BY_HAND = {
     "rasim.engine.MonteCarloResult.stacks",
     "rasim.predictor.LstmPredictor.model_u",
     "rasim.predictor.LstmPredictor.model_m",
+    "rasim.scenarios.Scenario.points",
+    "rasim.scenarios.ScenarioPoint.label",
+    "rasim.scenarios.ScenarioPoint.cfg",
+    "rasim.engine.SimulationConfig.t_w",
+    "rasim.engine.SimulationConfig.traffic.k_u",
+    "rasim.engine.SimulationConfig.traffic.k_m",
+    "rasim.engine.SimulationConfig.realizations",
+    "rasim.engine.SimulationConfig.frames",
+    "rasim.engine.SimulationConfig.seed",  # set through dataclasses.replace
 }
 
 # bound to functions that are gone: their layers read 0 until perfbench rebinds or drops them
@@ -49,7 +61,10 @@ def test_every_span_resolves_in_rasim():
 
 
 def _lookup(obj, name):
-    """obj.name, importing it first when obj is a package and name one of its modules."""
+    """obj.name, importing it first when obj is a package and name one of its
+    modules; the declared type when obj is a dataclass and name its field."""
+    if dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+        return typing.get_type_hints(obj)[name]
     if isinstance(obj, types.ModuleType) and not hasattr(obj, name):
         try:
             importlib.import_module(f"{obj.__name__}.{name}")

@@ -91,7 +91,7 @@ class TestLstmPredictions:
     def _predictor(self, rng, b_out_u=0.5, b_out_m=0.5):
         zero = lambda b: LstmModel(
             w_x=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8),
-            w_out=np.zeros(2), b_out=b,
+            w_out=np.zeros(2), b_out=np.array([b]),
         )
         return LstmPredictor(zero(b_out_u), zero(b_out_m), 25, 1000, t_w=4)
 
@@ -122,7 +122,7 @@ class TestLstmPredictions:
 
     def test_several_histories_in_one_pass(self, rng):
         model_u, model_m = init_lstm(4, rng=rng, scale=1.0), init_lstm(4, rng=rng, scale=1.0)
-        model_u.b_out = model_m.b_out = 0.3
+        model_u.b_out[:] = model_m.b_out[:] = 0.3
         pred = LstmPredictor(model_u, model_m, 25, 1000, t_w=4)
         lanes = [
             [row(u=tuple(rng.integers(0, 9, size=3).tolist()),
